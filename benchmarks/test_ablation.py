@@ -1,4 +1,4 @@
-"""Ablations beyond the paper: thresholds, machine model, channels.
+"""Ablations beyond the paper: thresholds, machine model, contention.
 
 The paper tuned its thresholds on 23 programs and fixed one machine;
 these benches sweep both to show (a) the published thresholds sit on a
@@ -9,19 +9,10 @@ conclusions are robust across the machine-model parameters.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import pytest
 
-from repro.events import (
-    AccessKind,
-    AsyncChannel,
-    EventCollector,
-    OperationKind,
-    StructureKind,
-    SynchronousChannel,
-    collecting,
-)
+from repro.events import collecting
 from repro.parallel import MachineConfig, SimulatedMachine
 from repro.usecases import Thresholds, UseCaseEngine
 from repro.usecases.rules import PARALLEL_RULES
@@ -164,34 +155,6 @@ class TestMachineAblation:
         assert by_overhead[0][0] > 1.0  # free forks: small region pays
         assert by_overhead[5000][0] < 1.0  # expensive forks: it doesn't
         assert by_overhead[5000][1] > 4.0  # big region still pays
-
-
-class TestChannelAblation:
-    def _drive(self, channel_factory, n=20_000) -> float:
-        collector = EventCollector(channel=channel_factory())
-        iid = collector.register_instance(StructureKind.LIST)
-        start = time.perf_counter()
-        for i in range(n):
-            collector.record(iid, OperationKind.INSERT, AccessKind.WRITE, i, i + 1)
-        elapsed = time.perf_counter() - start
-        assert len(collector.finish()[iid]) == n
-        return elapsed
-
-    def test_sync_vs_async_recording(self, benchmark, results_dir):
-        """The paper argues for asynchronous collection to decouple the
-        producer; on one core the sync path has lower recording cost,
-        and both must deliver every event."""
-        sync = self._drive(SynchronousChannel)
-        async_ = benchmark.pedantic(
-            lambda: self._drive(AsyncChannel), rounds=1, iterations=1
-        )
-        save_result(
-            results_dir,
-            "ablation_channel.txt",
-            f"sync record {sync * 1e3:.1f} ms; async record {async_ * 1e3:.1f} ms "
-            f"for 20k events (single-core host)",
-        )
-        assert sync > 0 and async_ > 0
 
 
 class TestContentionAblation:

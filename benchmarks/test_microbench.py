@@ -128,37 +128,17 @@ class TestOverheadBudget:
         import json
 
         from benchmarks.conftest import save_result
+        from benchmarks.overhead import SCHEMA_VERSION
 
         save_result(
             results_dir, "overhead.json", json.dumps(overhead_doc, indent=2)
         )
-        assert overhead_doc["schema"] == 2
+        assert overhead_doc["schema"] == SCHEMA_VERSION
         assert overhead_doc["events"] == 100_000
 
-    def test_batching_beats_async_recording(self, overhead_doc):
-        derived = overhead_doc["derived"]
-        # Acceptance bar: the drop-policy fast path (bare list.append
-        # bound method) must be >=3x cheaper per event than AsyncChannel
-        # on the 100k-event workload; the block-policy path pays a
-        # closure call for backpressure accounting, so its bound is
-        # looser but still well clear of noise.
-        assert derived["batching_drop_vs_async"] >= 3.0
-        assert derived["batching_vs_async"] >= 1.8
-
-    def test_batching_is_near_plain_append(self, overhead_doc):
-        # The machine-normalized metric the CI gate tracks: batched
-        # posting costs a small constant factor over a plain
-        # list.append.  Generous bound — the checked-in baseline is
-        # ~3x; 8x means the fast path grew real per-event work.
-        assert overhead_doc["derived"]["batching_vs_plain"] < 8.0
-
-    def test_sampling_stays_on_budget(self, overhead_doc):
-        recording = overhead_doc["recording"]
-        # Sampling's payoff is the 90% cut in downstream volume
-        # (materialization, analysis, spill, memory), not the record
-        # call itself: admit() costs about what the skipped batched
-        # post would have.  Guard that the admit check never becomes a
-        # per-event regression of its own.
-        full = recording["batching"]["per_event_ns"]
-        assert recording["batching_decimate10"]["per_event_ns"] <= full * 1.5
-        assert recording["batching_burst1000_10"]["per_event_ns"] <= full * 1.5
+    def test_record_hook_is_near_plain_append(self, overhead_doc):
+        # The machine-normalized metric the CI gate tracks: the record
+        # kernel costs a small constant factor over a plain
+        # list.append.  Generous bound — 8x means the record path grew
+        # real per-event work.
+        assert overhead_doc["derived"]["tracked_batching_vs_plain"] < 8.0

@@ -1,13 +1,12 @@
 """Recording-overhead benchmark core and CI perf-ratchet.
 
-Measures the per-event cost of every transport at its hot-path
-producer API — ``post`` for the synchronous and async channels, the
-cached :meth:`~repro.events.BatchingChannel.producer` callable for the
-batched pipeline, the record kernel of :mod:`repro.events.fastpath`
-for the encode-at-record path — timed over a full capture (post loop
-*plus* terminal drain, so asynchronous transports cannot hide work in
-their drainer thread).  Emits one JSON document consumed by the CI
-perf-ratchet (``dsspy bench --check``).
+Measures the per-event cost of the one record path -- the record
+kernel of :mod:`repro.events.fastpath` packing into the per-thread
+buffers of :class:`~repro.events.channel.Channel` -- in-process,
+under the fail-open firewall, and through the networked transports, each timed over a full capture (record loop
+*plus* terminal drain, so the drainer thread cannot hide work).  Emits
+one JSON document consumed by the CI perf-ratchet (``dsspy bench
+--check``).
 
 Absolute nanoseconds vary wildly across machines, so every gated
 metric is *normalized*: a per-event cost divided by a bare
@@ -18,27 +17,24 @@ baseline (``benchmarks/baselines/overhead_baseline.json``):
 - **relative**: no metric in :data:`GATED_METRICS` may regress by more
   than ``--max-regression`` (CI uses 10%) against the baseline value;
 - **absolute**: the baseline's ``gates`` object pins hard ceilings
-  that hold regardless of what the baseline measured —
-  ``tracked_batching_vs_plain`` ≤ 5× is the headline ratchet locking
-  in the encode-at-record fast path.
+  that hold regardless of what the baseline measured --
+  ``tracked_batching_vs_plain`` <= 5x is the headline ratchet on the
+  record hook.
 
 Metric map (all under ``derived``):
 
-``batching_vs_plain``
-    The batched tuple pipeline's producer callable.
 ``tracked_batching_vs_plain``
-    The realistic ``EventCollector.record`` hook through the packed
-    fast path (record kernel → per-thread byte buffer).  Successor of
-    the legacy ``record_batching_vs_plain`` (kept, informational).
+    The ``EventCollector.record`` hook: the pre-bound record kernel
+    packing into per-thread byte buffers, drained at the end.
 ``fastpath_vs_plain``
-    The full structure hot path — ``TrackedList.append`` — with the
-    fast path engaged.
+    The full structure hot path -- ``TrackedList.append`` -- into the
+    same channel.
 ``remote_vs_plain`` / ``journal_vs_plain``
-    The networked transport against a loopback daemon, without and
-    with the write-ahead journal.
+    The record hook through the networked transport against a loopback
+    daemon, without and with the write-ahead journal.
 ``shm_vs_plain``
     The same capture over the shared-memory ring transport
-    (:mod:`repro.service.shm`) — gated relatively like the others, and
+    (:mod:`repro.service.shm`) -- gated relatively like the others, and
     expected to beat ``remote_vs_plain`` on the same machine.
 ``guard_vs_plain``
     The tracked-append path under an armed fail-open firewall.
@@ -90,7 +86,6 @@ SCHEMA_VERSION = 7
 #: The machine-normalized metrics the ratchet enforces relatively
 #: (``current <= baseline * (1 + max_regression)``).
 GATED_METRICS = (
-    "batching_vs_plain",
     "tracked_batching_vs_plain",
     "fastpath_vs_plain",
     "remote_vs_plain",
@@ -134,80 +129,34 @@ _FLOOR_CORES_SECTION = {
 
 DEFAULT_BASELINE = "benchmarks/baselines/overhead_baseline.json"
 
-#: A representative raw event (list read at position 5 of 1000).
-_RAW = (0, 1, 0, 5, 1000, 0, None)
-
-
 # -- measurement ------------------------------------------------------------
 
 
-def _time_channel(make_channel, events: int) -> float:
-    """Seconds to push ``events`` raw tuples through a channel's hot
-    path and drain it."""
-    channel = make_channel()
-    produce = channel.producer() if hasattr(channel, "producer") else channel.post
-    raw = _RAW
+def _time_record(events: int, channel=None) -> float:
+    """Seconds for ``events`` calls of the ``EventCollector.record``
+    hook (a list read at position 5 of 1000) and the terminal drain
+    (profiles not materialized -- that cost is post-mortem analysis,
+    not recording).  The instance is never registered, so a daemon
+    skips its fold and the remote figures time the transport."""
+    from .events import EventCollector
+
+    collector = EventCollector(channel=channel)
+    record = collector.record
     start = time.perf_counter()
     for _ in range(events):
-        produce(raw)
-    channel.drain()
-    return time.perf_counter() - start
-
-
-def _time_record(make_channel, events: int, sampling=None) -> float:
-    """Seconds for the realistic legacy path: ``EventCollector.record``
-    per event through the tuple pipeline, then the channel drained
-    (profiles not materialized — that cost is post-mortem analysis,
-    not recording)."""
-    from .events import AccessKind, EventCollector, OperationKind, StructureKind
-
-    collector = EventCollector(
-        channel=make_channel(), sampling=sampling, fastpath="off"
-    )
-    iid = collector.register_instance(StructureKind.LIST)
-    record = collector.record
-    op = OperationKind.READ
-    kind = AccessKind.READ
-    start = time.perf_counter()
-    for i in range(events):
-        record(iid, op, kind, i % 1000, 1000)
+        record(0, 1, 0, 5, 1000)
     collector.channel.drain()
     return time.perf_counter() - start
 
 
-def _time_tracked_batching(events: int) -> float:
-    """Seconds for the fast record hook: the collector's pre-bound
-    record kernel packing straight into per-thread byte buffers of a
-    :class:`~repro.events.fastpath.PackedBatchingChannel`.
-
-    Times the fixed representative event of the channels section (the
-    hook's cost does not depend on the position value), with
-    :meth:`drain_packed` as the terminal barrier — the fast
-    architecture's natural end state (durable packed bytes, ready for
-    spill or wire), symmetric with the legacy drain's end state
-    (tuples in memory, encoding deferred to spill or wire)."""
-    from .events import EventCollector, PackedBatchingChannel, StructureKind
-
-    channel = PackedBatchingChannel()
-    collector = EventCollector(channel=channel)
-    iid = collector.register_instance(StructureKind.LIST)
-    record = collector.record  # the kernel instance when fastpath engaged
-    start = time.perf_counter()
-    for _ in range(events):
-        record(iid, 1, 0, 5, 1000)
-    channel.drain_packed()
-    return time.perf_counter() - start
-
-
 def _time_tracked_append(events: int, guard=None) -> float:
-    """Seconds for the full structure hot path — ``TrackedList.append``
-    through ``_record`` into a batching channel — optionally under an
-    armed (healthy) firewall."""
-    from .events import BatchingChannel, EventCollector
+    """Seconds for the full structure hot path -- ``TrackedList.append``
+    calling the record kernel -- optionally under an armed (healthy)
+    firewall."""
+    from .events import EventCollector
     from .structures import TrackedList
 
-    channel = BatchingChannel()
-    collector = EventCollector(channel=channel, fastpath="off")
+    collector = EventCollector()
     xs = TrackedList(collector=collector)
     append = xs.append
     if guard is not None:
@@ -216,36 +165,18 @@ def _time_tracked_append(events: int, guard=None) -> float:
         start = time.perf_counter()
         for _ in range(events):
             append(1)
-        channel.drain()
+        collector.channel.drain()
         return time.perf_counter() - start
     finally:
         if guard is not None:
             guard.__exit__(None, None, None)
 
 
-def _time_fastpath_append(events: int) -> float:
-    """Seconds for the full structure hot path with the encode-at-record
-    fast path engaged: ``TrackedList.append`` calling the record kernel
-    directly, packed bytes as the end state."""
-    from .events import EventCollector, PackedBatchingChannel
-    from .structures import TrackedList
-
-    channel = PackedBatchingChannel()
-    collector = EventCollector(channel=channel)
-    xs = TrackedList(collector=collector)
-    append = xs.append
-    start = time.perf_counter()
-    for _ in range(events):
-        append(1)
-    channel.drain_packed()
-    return time.perf_counter() - start
-
-
 def _time_plain_append(events: int) -> float:
     """The uninstrumented floor: a bare bound ``list.append`` loop."""
     xs: list = []
     append = xs.append
-    raw = _RAW
+    raw = (0, 1, 0, 5, 1000, 0, None)
     start = time.perf_counter()
     for _ in range(events):
         append(raw)
@@ -253,35 +184,19 @@ def _time_plain_append(events: int) -> float:
 
 
 def _best(measure, repeats: int) -> float:
-    """Minimum over ``repeats`` runs — the standard noise filter."""
+    """Minimum over ``repeats`` runs -- the standard noise filter."""
     return min(measure() for _ in range(repeats))
 
 
+def _cost(total_s: float, events: int) -> dict:
+    return {"total_s": total_s, "per_event_ns": total_s / events * 1e9}
+
+
 def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
-    """Measure every transport and sampling tier; return the JSON doc."""
-    from .events import (
-        AsyncChannel,
-        BatchingChannel,
-        Burst,
-        Decimate,
-        SynchronousChannel,
-        kernel_name,
-    )
+    """Measure the record path in every configuration; return the JSON doc."""
+    from .events import kernel_name
     from .runtime import RuntimeGuard
     from .service import ProfilingDaemon, RemoteChannel
-
-    channels = {
-        "sync": lambda: SynchronousChannel(),
-        "async": lambda: AsyncChannel(),
-        "batching": lambda: BatchingChannel(),
-        "batching_drop": lambda: BatchingChannel(policy="drop"),
-    }
-    recorders = {
-        "sync": (lambda: SynchronousChannel(), None),
-        "batching": (lambda: BatchingChannel(), None),
-        "batching_decimate10": (lambda: BatchingChannel(), lambda: Decimate(10)),
-        "batching_burst1000_10": (lambda: BatchingChannel(), lambda: Burst(1000, 10)),
-    }
 
     plain_s = _best(lambda: _time_plain_append(events), repeats)
     doc: dict = {
@@ -295,41 +210,30 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
         "recording": {},
         "gates": dict(ABSOLUTE_GATES),
     }
-    for name, factory in channels.items():
-        total_s = _best(lambda: _time_channel(factory, events), repeats)
-        doc["channels"][name] = {
-            "total_s": total_s,
-            "per_event_ns": total_s / events * 1e9,
-        }
-    # The networked transport: same producer hot path as "batching",
-    # plus loopback shipping to a live daemon (one daemon reused across
-    # repeats; every repeat is a fresh session, and drain() includes the
-    # FIN handshake so the full capture cost is measured).
+    # The networked transports: the same record hook, plus loopback
+    # shipping to a live daemon (one daemon reused across repeats;
+    # every repeat is a fresh session, and drain() includes the FIN
+    # handshake so the full capture cost is measured).
     with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-        total_s = _best(
-            lambda: _time_channel(lambda: RemoteChannel(daemon.address), events),
-            repeats,
+        doc["channels"]["remote"] = _cost(
+            _best(lambda: _time_record(events, RemoteChannel(daemon.address)), repeats),
+            events,
         )
-    doc["channels"]["remote"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
-    # The same capture with EVENTS moved off the socket onto the
-    # shared-memory ring: the client packs records into the ring, the
-    # daemon's consumer thread drains it.
+    # EVENTS moved off the socket onto the shared-memory ring: the
+    # drainer copies packed records into the ring, the daemon's
+    # consumer thread drains it.
     with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-        total_s = _best(
-            lambda: _time_channel(
-                lambda: RemoteChannel(daemon.address, transport="shm"), events
+        doc["channels"]["shm"] = _cost(
+            _best(
+                lambda: _time_record(
+                    events, RemoteChannel(daemon.address, transport="shm")
+                ),
+                repeats,
             ),
-            repeats,
+            events,
         )
-    doc["channels"]["shm"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
-    # Same transport against a durable daemon: every window is journaled
-    # before it is acknowledged, with periodic checkpoints.
+    # Against a durable daemon: every window is journaled before it is
+    # acknowledged, with periodic checkpoints.
     with tempfile.TemporaryDirectory(prefix="dsspy-bench-state-") as state_dir:
         with ProfilingDaemon(
             port=0,
@@ -337,87 +241,43 @@ def run_overhead_benchmark(events: int = 100_000, repeats: int = 3) -> dict:
             state_dir=state_dir,
             checkpoint_every=max(events // 2, 10_000),
         ) as daemon:
-            total_s = _best(
-                lambda: _time_channel(lambda: RemoteChannel(daemon.address), events),
-                repeats,
+            doc["channels"]["remote_journal"] = _cost(
+                _best(
+                    lambda: _time_record(events, RemoteChannel(daemon.address)),
+                    repeats,
+                ),
+                events,
             )
-    doc["channels"]["remote_journal"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
 
-    for name, (factory, make_policy) in recorders.items():
-        total_s = _best(
-            lambda: _time_record(
-                factory, events, sampling=make_policy() if make_policy else None
-            ),
-            repeats,
-        )
-        doc["recording"][name] = {
-            "total_s": total_s,
-            "per_event_ns": total_s / events * 1e9,
-        }
-    # The fast record hook (the ratcheted successor of "batching"):
-    # collector.record is the pre-bound kernel, encode-at-record.
-    total_s = _best(lambda: _time_tracked_batching(events), repeats)
-    doc["recording"]["tracked_batching"] = {
-        "total_s": total_s,
-        "per_event_ns": total_s / events * 1e9,
-    }
+    doc["recording"]["tracked_batching"] = _cost(
+        _best(lambda: _time_record(events), repeats), events
+    )
 
     # The firewall hot path: a healthy armed guard on the tracked-append
-    # loop, against the identical loop with no guard armed (seed mode).
+    # loop, against the identical loop with no guard armed.
     unguarded_s = _best(lambda: _time_tracked_append(events), repeats)
     guarded_s = _best(
         lambda: _time_tracked_append(events, guard=RuntimeGuard(budget=25)), repeats
     )
-    fast_append_s = _best(lambda: _time_fastpath_append(events), repeats)
     doc["structures"] = {
-        "tracked_append": {
-            "total_s": unguarded_s,
-            "per_event_ns": unguarded_s / events * 1e9,
-        },
-        "tracked_append_fastpath": {
-            "total_s": fast_append_s,
-            "per_event_ns": fast_append_s / events * 1e9,
-        },
-        "tracked_append_guarded": {
-            "total_s": guarded_s,
-            "per_event_ns": guarded_s / events * 1e9,
-        },
+        "tracked_append": _cost(unguarded_s, events),
+        "tracked_append_guarded": _cost(guarded_s, events),
     }
 
     plain_ns = doc["plain_append_ns"]
-    batching_ns = doc["channels"]["batching"]["per_event_ns"]
-    drop_ns = doc["channels"]["batching_drop"]["per_event_ns"]
-    async_ns = doc["channels"]["async"]["per_event_ns"]
+
+    def ratio(section: str, name: str) -> float:
+        return doc[section][name]["per_event_ns"] / plain_ns
+
     doc["derived"] = {
-        # Speedup of the batched pipeline over the per-event queue
-        # (default lossless policy, and the bare-append drop policy).
-        "batching_vs_async": async_ns / batching_ns,
-        "batching_drop_vs_async": async_ns / drop_ns,
-        # Machine-normalized cost multiples — the CI-gated metrics.
-        "batching_vs_plain": batching_ns / plain_ns,
-        "tracked_batching_vs_plain": doc["recording"]["tracked_batching"][
-            "per_event_ns"
-        ]
-        / plain_ns,
-        "fastpath_vs_plain": doc["structures"]["tracked_append_fastpath"][
-            "per_event_ns"
-        ]
-        / plain_ns,
-        "remote_vs_plain": doc["channels"]["remote"]["per_event_ns"] / plain_ns,
-        "shm_vs_plain": doc["channels"]["shm"]["per_event_ns"] / plain_ns,
-        "journal_vs_plain": doc["channels"]["remote_journal"]["per_event_ns"]
-        / plain_ns,
-        # The legacy tuple-pipeline record hook, kept informational so
-        # the fast path's win stays visible in every document.
-        "record_batching_vs_plain": doc["recording"]["batching"]["per_event_ns"]
-        / plain_ns,
-        # Firewall cost, gated: full guarded tracked-append vs a bare
-        # append — and, informational, vs the same path unguarded.
-        "guard_vs_plain": doc["structures"]["tracked_append_guarded"]["per_event_ns"]
-        / plain_ns,
+        # Machine-normalized cost multiples -- the CI-gated metrics.
+        "tracked_batching_vs_plain": ratio("recording", "tracked_batching"),
+        "fastpath_vs_plain": ratio("structures", "tracked_append"),
+        "remote_vs_plain": ratio("channels", "remote"),
+        "shm_vs_plain": ratio("channels", "shm"),
+        "journal_vs_plain": ratio("channels", "remote_journal"),
+        "guard_vs_plain": ratio("structures", "tracked_append_guarded"),
+        # Informational: firewall cost relative to the same path unguarded.
         "guard_overhead": guarded_s / unguarded_s,
     }
     return doc
@@ -453,7 +313,7 @@ def fleet_producer_main(argv: list[str] | None = None) -> int:
         session_id = f"{spec['prefix']}-s{index:04d}"
         address = addresses[shard_for(session_id, len(addresses))]
         channel = RemoteChannel(address, session_id=session_id, give_up_after=30.0)
-        collector = EventCollector(channel=channel, fastpath="off")
+        collector = EventCollector(channel=channel)
         iid = collector.register_instance(StructureKind.LIST)
         record = collector.record
         op = OperationKind.READ
@@ -845,30 +705,41 @@ _TRAJECTORY_FIELDS = (
 def append_trajectory(doc: dict, path: str | Path, commit: str | None = None) -> str:
     """Append one benchmark run to the committed trajectory CSV.
 
-    Creates the file (with header) when absent.  ``commit`` defaults to
-    ``$GITHUB_SHA`` so the nightly CI job needs no plumbing.  Returns
-    the formatted CSV row (without trailing newline)."""
+    Creates the file (with header) when absent.  An existing file keeps
+    its header: the row follows it column by column, so a retired
+    metric's column stays (empty) and history stays parseable.
+    ``commit`` defaults to ``$GITHUB_SHA`` so the nightly CI job needs
+    no plumbing; it is shortened to 12 characters, keeping a ``-dirty``
+    suffix (a measurement of uncommitted changes on top of that
+    commit).  Returns the formatted CSV row (without trailing
+    newline)."""
     path = Path(path)
     if commit is None:
         commit = os.environ.get("GITHUB_SHA", "")
     derived = doc.get("derived", {})
-    row = [
-        datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        commit[:12],
-        str(doc.get("schema", "")),
-        str(doc.get("events", "")),
-        str(doc.get("python", "")),
-        str(doc.get("record_kernel", "")),
-        f"{float(doc.get('plain_append_ns', 0.0)):.1f}",
-    ] + [
-        f"{float(derived[m]):.3f}" if m in derived else "" for m in GATED_METRICS
-    ]
-    line = ",".join(row)
+    values = {
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"
+        ),
+        "commit": commit[:12] + ("-dirty" if commit.endswith("-dirty") else ""),
+        "schema": str(doc.get("schema", "")),
+        "events": str(doc.get("events", "")),
+        "python": str(doc.get("python", "")),
+        "record_kernel": str(doc.get("record_kernel", "")),
+        "plain_append_ns": f"{float(doc.get('plain_append_ns', 0.0)):.1f}",
+    }
+    values.update({m: f"{float(v):.3f}" for m, v in derived.items() if m in GATED_METRICS})
     path.parent.mkdir(parents=True, exist_ok=True)
     fresh = not path.exists() or path.stat().st_size == 0
+    if fresh:
+        header = list(_TRAJECTORY_FIELDS)
+    else:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+    line = ",".join(values.get(field, "") for field in header)
     with path.open("a", encoding="utf-8") as fh:
         if fresh:
-            fh.write(",".join(_TRAJECTORY_FIELDS) + "\n")
+            fh.write(",".join(header) + "\n")
         fh.write(line + "\n")
     return line
 
@@ -1073,10 +944,8 @@ def run(args: argparse.Namespace) -> int:
         print(
             f"plain append: {doc['plain_append_ns']:.0f} ns; "
             f"record hook ({doc.get('record_kernel', '?')} kernel): "
-            f"{derived.get('tracked_batching_vs_plain', float('nan')):.1f}x plain "
-            f"(legacy {derived.get('record_batching_vs_plain', float('nan')):.1f}x); "
+            f"{derived.get('tracked_batching_vs_plain', float('nan')):.1f}x plain; "
             f"tracked append: {derived.get('fastpath_vs_plain', float('nan')):.1f}x; "
-            f"batching: {derived.get('batching_vs_plain', float('nan')):.1f}x; "
             f"remote: {derived.get('remote_vs_plain', float('nan')):.1f}x "
             f"(shm {derived.get('shm_vs_plain', float('nan')):.1f}x, "
             f"journaled {derived.get('journal_vs_plain', float('nan')):.1f}x); "

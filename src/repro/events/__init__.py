@@ -2,20 +2,19 @@
 
 This package implements the data-collection half of DSspy (§IV of the
 paper): every interaction with an instrumented data structure becomes an
-:class:`AccessEvent`, events stream over a :class:`Channel` to an
-:class:`EventCollector`, and post-mortem assembly yields one
-:class:`RuntimeProfile` per data structure instance.
+access event, a record kernel packs it into a per-thread buffer of the
+:class:`Channel`, the channel's drainer thread moves the bytes to the
+analysis side asynchronously, and post-mortem assembly in the
+:class:`EventCollector` yields one :class:`RuntimeProfile` per data
+structure instance.
 
-The recording pipeline has three cost tiers: plain channels
-(:class:`SynchronousChannel`, :class:`AsyncChannel`,
-:class:`ProcessChannel`), the batched low-overhead transport
-(:class:`BatchingChannel`, optionally spilling to a binary file via
-:mod:`~repro.events.spill`), and event sampling
-(:class:`SamplingPolicy` and friends) applied before the channel post.
+There is one record path: the kernel, optionally behind a
+:class:`SamplingPolicy` admit-filter.  The packed record layout of
+:mod:`~repro.events.spill` is the representation in memory, in spill
+files and on the wire.
 """
 
-from .batching import BatchingChannel, make_channel
-from .channel import AsyncChannel, Channel, ProcessChannel, SynchronousChannel
+from .channel import Channel
 from .collector import (
     EventCollector,
     collecting,
@@ -25,7 +24,7 @@ from .collector import (
     reset_ambient,
 )
 from .event import AccessEvent, materialize
-from .fastpath import KERNEL, PackedBatchingChannel, PyRecorder, kernel_name, make_recorder
+from .fastpath import KERNEL, PyRecorder, kernel_name, make_recorder
 from .merge import merge_archives, merge_profiles
 from .profile import NO_POSITION, AllocationSite, RuntimeProfile
 from .sampling import (
@@ -49,6 +48,7 @@ from .spill import (
     iter_spill_events,
     iter_spill_raw,
     pack_record,
+    pack_records,
     read_spill_events,
     read_spill_raw,
     record_is_plausible,
@@ -61,8 +61,6 @@ __all__ = [
     "AccessEvent",
     "AccessKind",
     "AllocationSite",
-    "AsyncChannel",
-    "BatchingChannel",
     "Burst",
     "Channel",
     "Decimate",
@@ -71,8 +69,6 @@ __all__ = [
     "KERNEL",
     "NO_POSITION",
     "OperationKind",
-    "PackedBatchingChannel",
-    "ProcessChannel",
     "PyRecorder",
     "RECORD_ALL",
     "RECORD_SIZE",
@@ -81,7 +77,6 @@ __all__ = [
     "SamplingPolicy",
     "SpillWriter",
     "StructureKind",
-    "SynchronousChannel",
     "collecting",
     "dump_profiles",
     "end_of",
@@ -90,12 +85,12 @@ __all__ = [
     "iter_spill_raw",
     "kernel_name",
     "load_profiles",
-    "make_channel",
     "make_recorder",
     "materialize",
     "merge_archives",
     "merge_profiles",
     "pack_record",
+    "pack_records",
     "parse_sampling",
     "pop_collector",
     "push_collector",

@@ -2,11 +2,14 @@
 
 One :class:`EventCollector` corresponds to one DSspy capture session.
 Tracked structures register themselves on construction (obtaining an
-instance id) and call :meth:`EventCollector.record` on every interface
-method.  After the workload finishes, :meth:`EventCollector.finish`
-drains the channel, stamps logical timestamps in arrival order, and
-routes each event into the :class:`~repro.events.profile.RuntimeProfile`
-of its instance.
+instance id) and call :attr:`EventCollector.record` on every interface
+method.  ``record`` is the record kernel of
+:mod:`~repro.events.fastpath` itself -- optionally behind a sampling
+filter -- packing each event into the calling thread's buffer of the
+collector's :class:`~repro.events.channel.Channel`.  After the workload
+finishes, :meth:`EventCollector.finish` drains the channel, stamps
+logical timestamps in arrival order, and routes each packed record into
+the :class:`~repro.events.profile.RuntimeProfile` of its instance.
 
 A module-level *ambient* collector makes tracked structures usable
 without ceremony; the :func:`collecting` context manager installs a
@@ -21,15 +24,36 @@ fresh collector for deterministic, isolated captures::
 from __future__ import annotations
 
 import threading
-import time
+import weakref
 from contextlib import contextmanager
 from typing import Iterator
 
-from .channel import AsyncChannel, Channel, SynchronousChannel
-from .event import materialize
+from .channel import Channel
+from .event import KINDS, OPS, AccessEvent
+from .fastpath import make_recorder
 from .profile import AllocationSite, RuntimeProfile
 from .sampling import RecordAll, SamplingPolicy
-from .types import AccessKind, OperationKind, StructureKind
+from .spill import _HAS_POSITION, _HAS_WALL, _RECORD, RECORD_SIZE
+from .types import StructureKind
+
+
+class _SamplingFilter:
+    """The sampling filter in front of the record kernel: one
+    ``admit`` per event, in recording order; admitted events go to the
+    kernel, the rest are only counted."""
+
+    __slots__ = ("_admit", "_kernel", "sampled_out")
+
+    def __init__(self, policy: SamplingPolicy, kernel) -> None:
+        self._admit = policy.admit
+        self._kernel = kernel
+        self.sampled_out = 0
+
+    def __call__(self, instance_id, op, kind, position, size) -> None:
+        if self._admit(instance_id):
+            self._kernel(instance_id, op, kind, position, size)
+        else:
+            self.sampled_out += 1
 
 
 class EventCollector:
@@ -38,64 +62,47 @@ class EventCollector:
     Parameters
     ----------
     channel:
-        Event transport; defaults to a :class:`SynchronousChannel`.
-        Pass an :class:`AsyncChannel` to decouple recording from
-        accumulation the way the paper's analysis process does, or a
-        :class:`~repro.events.batching.BatchingChannel` for the
-        low-overhead batched pipeline.
-    capture_wall_time:
-        When true, each event also carries ``time.perf_counter()``.
-        Off by default: the analyses need only ordering, and logical
-        time keeps experiments deterministic.
+        Event transport; defaults to a fresh in-memory
+        :class:`~repro.events.channel.Channel`.  Pass one with a spill
+        file for long captures, or a
+        :class:`~repro.service.client.RemoteChannel` to stream to a
+        daemon.
     sampling:
-        Optional :class:`~repro.events.sampling.SamplingPolicy` applied
-        before the channel post.  ``None`` (and :class:`RecordAll`)
-        keep the full-capture hot path unchanged — not even a policy
-        call is paid.
-    fastpath:
-        ``"auto"`` (default) engages the encode-at-record fast path of
-        :mod:`repro.events.fastpath` when the channel supports it (a
-        :class:`~repro.events.fastpath.PackedBatchingChannel`), no
-        sampling policy is installed, and wall-time capture is off: the
-        :meth:`record` entry point is replaced *on this instance* by a
-        pre-bound record kernel that packs events straight into
-        per-thread byte buffers.  ``"off"`` keeps the legacy
-        tuple-object path regardless of the channel — the testing
-        oracle uses it to diff the two encoders byte for byte.
+        Optional :class:`~repro.events.sampling.SamplingPolicy`: a thin
+        admit-filter in front of the record kernel.  ``None`` (and
+        :class:`RecordAll`) bind the kernel itself as :attr:`record` --
+        not even a policy call is paid.
+
+    Attributes
+    ----------
+    record:
+        ``record(instance_id, op, kind, position, size)``, the hook
+        tracked structures cache at construction.
     """
 
     def __init__(
         self,
         channel: Channel | None = None,
-        capture_wall_time: bool = False,
         sampling: SamplingPolicy | None = None,
-        fastpath: str = "auto",
     ) -> None:
-        if fastpath not in ("auto", "off"):
-            raise ValueError(f"fastpath must be 'auto' or 'off', got {fastpath!r}")
-        self._channel: Channel = channel if channel is not None else SynchronousChannel()
-        self._post = self._channel.post
-        self._tls = threading.local()
-        self._capture_wall_time = capture_wall_time
+        self._channel = channel if channel is not None else Channel()
         if sampling is not None and type(sampling) is RecordAll:
             sampling = None
         self._sampler = sampling
-        self._sampled_out = 0
         self._lock = threading.Lock()
         self._next_instance_id = 0
         self._profiles: dict[int, RuntimeProfile] = {}
         self._thread_ids: dict[int, int] = {}
         self._finished = False
         self._assembled = 0
-        self._recorder = None
-        self._fastpath_kind: str | None = None
-        if (
-            fastpath == "auto"
-            and self._sampler is None
-            and not capture_wall_time
-            and getattr(self._channel, "packed", False)
-        ):
-            self._enable_fastpath()
+        # The kernel binds through a weak reference: no reference cycle,
+        # so a dropped collector and its profiles are freed at once
+        # rather than whenever the cyclic garbage collector runs.
+        bind = weakref.WeakMethod(self._bind)
+        self._recorder = make_recorder(lambda: bind()())
+        self._channel.add_invalidate_listener(self._recorder.invalidate)
+        self._filter = None if sampling is None else _SamplingFilter(sampling, self._recorder)
+        self.record = self._recorder if self._filter is None else self._filter
 
     # -- registration ---------------------------------------------------
 
@@ -131,53 +138,13 @@ class EventCollector:
                 tid = self._thread_ids.setdefault(native, len(self._thread_ids))
         return tid
 
-    # -- encode-at-record fast path ---------------------------------------
+    # -- recording ---------------------------------------------------------
 
-    def _enable_fastpath(self) -> None:
-        """Install the record kernel as this instance's ``record``.
-
-        Pre-bound dispatch: the kernel object *shadows* the class-level
-        :meth:`record` method on this instance, so tracked structures —
-        which cache ``collector.record`` at construction — call the
-        kernel directly with zero Python-level indirection per event.
-        """
-        from .fastpath import kernel_name, make_recorder
-
-        recorder = make_recorder(self._fast_bind)
-        self._recorder = recorder
-        self._fastpath_kind = kernel_name()
-        add = getattr(self._channel, "add_invalidate_listener", None)
-        if add is not None:
-            add(recorder.invalidate)
-        self.record = recorder  # type: ignore[method-assign]
-
-    def _fast_bind(self) -> tuple[int, bytearray]:
-        """Slow boundary of the fast path (one call per thread per
-        epoch): register the thread, then let the channel enforce its
-        backpressure gate before handing out the packed buffer."""
+    def _bind(self) -> tuple[int, bytearray]:
+        """The kernel's slow boundary (one call per thread per epoch):
+        register the thread, then let the channel enforce its gate
+        before handing out the thread's buffer."""
         return (self._dense_thread_id(), self._channel.acquire_buffer())
-
-    @property
-    def fastpath(self) -> str | None:
-        """Active record kernel (``"c"`` or ``"python"``), or ``None``
-        when the legacy tuple path is in effect."""
-        return self._fastpath_kind
-
-    def _thread_state(self) -> tuple[int, Channel]:
-        """Register the calling thread and cache its hot-path pair
-        ``(dense thread id, produce callable)`` in a thread-local.
-
-        ``produce`` is the channel's per-thread :meth:`producer` fast
-        path when it offers one (the batching channel), otherwise the
-        bound ``post``; either way :meth:`record` pays one thread-local
-        getattr per event instead of ``get_ident`` + dict probe +
-        channel dispatch."""
-        tid = self._dense_thread_id()
-        producer = getattr(self._channel, "producer", None)
-        produce = producer() if producer is not None else self._post
-        state = (tid, produce)
-        self._tls.state = state
-        return state
 
     # -- fork safety -----------------------------------------------------
 
@@ -185,54 +152,42 @@ class EventCollector:
         """Reinitialize after ``fork()`` (runs in the child).
 
         Called by :mod:`repro.runtime.lifecycle`'s at-fork handler.
-        Locks and thread-locals frozen at the fork point are replaced
-        (never acquired — their state is arbitrary), and the channel
-        gets the same treatment through its own ``_after_fork_child``
-        when it has one.  ``policy`` is forwarded so a networked
-        channel can choose between re-registering a fresh session and
-        self-disabling."""
+        The lock frozen at the fork point is replaced (never acquired --
+        its state is arbitrary), and the channel gets the same
+        treatment through its own ``_after_fork_child``, which also
+        invalidates the kernel's cached buffers.  ``policy`` is
+        forwarded so a networked channel can choose between
+        re-registering a fresh session and self-disabling."""
         self._lock = threading.Lock()
-        self._tls = threading.local()
-        if self._recorder is not None:
-            # Kernel caches point at the parent's buffer map; drop them
-            # so every thread rebinds into the child's fresh channel.
-            self._recorder.invalidate()
         handler = getattr(self._channel, "_after_fork_child", None)
         if handler is not None:
             handler(policy)
 
-    # -- hot recording path ----------------------------------------------
-
-    def record(
-        self,
-        instance_id: int,
-        op: OperationKind,
-        kind: AccessKind,
-        position: int | None,
-        size: int,
-    ) -> None:
-        """Record one access event (called by tracked structures)."""
-        sampler = self._sampler
-        if sampler is not None and not sampler.admit(instance_id):
-            self._sampled_out += 1
-            return
-        tls = self._tls
-        try:
-            tid, produce = tls.state
-        except AttributeError:
-            tid, produce = self._thread_state()
-        wall = time.perf_counter() if self._capture_wall_time else None
-        produce((instance_id, int(op), int(kind), position, size, tid, wall))
-
     # -- post-mortem assembly ---------------------------------------------
 
-    def _assemble(self, raws: list) -> None:
-        for seq in range(self._assembled, len(raws)):
-            event = materialize(seq, raws[seq])
-            profile = self._profiles.get(event.instance_id)
+    def _assemble(self, data: bytes | bytearray) -> None:
+        """Route the records of ``data`` past those already assembled
+        into their profiles, straight from the packed bytes."""
+        profiles = self._profiles
+        seq = self._assembled
+        records = _RECORD.iter_unpack(memoryview(data)[seq * RECORD_SIZE :])
+        for iid, position, size, tid, op, kind, flags, wall in records:
+            profile = profiles.get(iid)
             if profile is not None:
-                profile.append(event)
-        self._assembled = len(raws)
+                profile.append(
+                    AccessEvent(
+                        seq,
+                        KINDS[kind],
+                        OPS[op],
+                        position if flags & _HAS_POSITION else None,
+                        size,
+                        tid,
+                        iid,
+                        wall if flags & _HAS_WALL else None,
+                    )
+                )
+            seq += 1
+        self._assembled = seq
 
     def assemble(self) -> dict[int, RuntimeProfile]:
         """Materialize newly recorded events without closing the channel.
@@ -247,8 +202,8 @@ class EventCollector:
     def finish(self) -> dict[int, RuntimeProfile]:
         """Drain the channel and assemble all runtime profiles.
 
-        Idempotent: subsequent calls return the already-assembled
-        profiles.
+        The drained bytes are released once assembled.  Idempotent:
+        subsequent calls return the already-assembled profiles.
         """
         if not self._finished:
             self._finished = True
@@ -273,7 +228,7 @@ class EventCollector:
     def sampled_out(self) -> int:
         """Events the sampling policy skipped (approximate while
         recording is concurrent; exact once the workload quiesces)."""
-        return self._sampled_out
+        return 0 if self._filter is None else self._filter.sampled_out
 
     @property
     def event_count(self) -> int:
@@ -347,24 +302,14 @@ def iter_collectors() -> list[EventCollector]:
 @contextmanager
 def collecting(
     channel: Channel | None = None,
-    capture_wall_time: bool = False,
-    asynchronous: bool = False,
     sampling: SamplingPolicy | None = None,
-    fastpath: str = "auto",
 ) -> Iterator[EventCollector]:
     """Install a fresh collector for the duration of the block.
 
     The collector is finished (channel drained, profiles assembled) on
     exit, so profiles are ready for analysis immediately afterwards.
     """
-    if channel is None and asynchronous:
-        channel = AsyncChannel()
-    collector = EventCollector(
-        channel=channel,
-        capture_wall_time=capture_wall_time,
-        sampling=sampling,
-        fastpath=fastpath,
-    )
+    collector = EventCollector(channel=channel, sampling=sampling)
     push_collector(collector)
     try:
         yield collector

@@ -40,8 +40,9 @@ class AccessEvent:
     instance_id:
         Id of the data structure instance the event belongs to.
     wall_time:
-        Optional wall-clock timestamp (seconds); populated only when
-        the collector is configured with ``capture_wall_time=True``.
+        Optional wall-clock timestamp (seconds).  The record kernel
+        never sets it; it survives only in spill files written by
+        older builds, which the spill readers still decode.
     """
 
     seq: int
@@ -86,23 +87,21 @@ class AccessEvent:
         )
 
 
-#: Compact tuple layout used on the hot recording path.  The channel
-#: transports plain tuples and the collector materializes
-#: :class:`AccessEvent` objects post-mortem, keeping per-access overhead
-#: to one tuple allocation and one queue put.
+#: Decoded tuple form of one packed record (see
+#: :func:`~repro.events.spill.unpack_record`): what the daemon's fold,
+#: the trace generators and the test oracles exchange.
 RawEvent = tuple  # (instance_id, op_value, kind_value, position, size, thread_id, wall_time)
+
+#: Enum members indexed by value: a tuple subscript instead of an
+#: ``Enum.__call__`` per field when events are materialized in bulk.
+OPS = tuple(OperationKind)
+KINDS = tuple(AccessKind)
 
 
 def materialize(seq: int, raw: RawEvent) -> AccessEvent:
     """Convert a raw on-the-wire tuple into an :class:`AccessEvent`."""
     instance_id, op_value, kind_value, position, size, thread_id, wall_time = raw
     return AccessEvent(
-        seq=seq,
-        kind=AccessKind(kind_value),
-        op=OperationKind(op_value),
-        position=position,
-        size=size,
-        thread_id=thread_id,
-        instance_id=instance_id,
-        wall_time=wall_time,
+        seq, KINDS[kind_value], OPS[op_value], position, size, thread_id,
+        instance_id, wall_time,
     )

@@ -1,7 +1,9 @@
-"""Compact binary spill format for long captures.
+"""Compact binary record format: spill files, channel buffers, wire.
 
 A million raw event tuples cost ~100 MB of Python object memory; the
-same events spill to ~37 MB of flat records on disk.  The format is
+same events pack into ~37 MB of flat records.  The record kernels
+write this layout straight into the channel's per-thread buffers, so
+one encoding serves memory, spill files and EVENTS frames.  The format is
 deliberately dumb — a magic header followed by fixed-width
 ``struct``-packed records, append-only, no index — so the writer is one
 ``pack`` and one buffered ``write`` per batch and a truncated file loses
@@ -20,9 +22,8 @@ Layout::
               flags        uint8   (bit 0: has position, bit 1: has wall time)
               wall_time    float64 (valid only when flags bit 1 is set)
 
-Readers come in two flavors: :func:`iter_spill_raw` rehydrates the
-channel's on-the-wire tuples (what a drained channel would have
-returned), and :func:`iter_spill_events` goes straight to
+Readers come in two flavors: :func:`iter_spill_raw` rehydrates raw
+event tuples, and :func:`iter_spill_events` goes straight to
 :class:`~repro.events.event.AccessEvent` objects with logical
 timestamps stamped in file order, ready for the detector and use-case
 engine.  Both stream — a capture larger than RAM can still be analyzed
@@ -86,15 +87,16 @@ def unpack_record(chunk: bytes) -> RawEvent:
     )
 
 
-# Backwards-compatible private aliases (pre-service internal names).
-_pack = pack_record
-_unpack = unpack_record
+def pack_records(raws: Iterable[RawEvent]) -> bytes:
+    """Pack raw event tuples into one block of records (the inverse of
+    :func:`unpack_records`)."""
+    return b"".join(map(pack_record, raws))
 
 
 def unpack_records(data: bytes | bytearray | memoryview) -> list[RawEvent]:
     """Decode a block of packed records back into raw event tuples.
 
-    The inverse of the encode-at-record fast path
+    The reference decoder of the record kernels
     (:mod:`repro.events.fastpath`): ``data`` must be a whole number of
     :data:`RECORD_SIZE`-byte records.
     """
@@ -160,19 +162,11 @@ class SpillWriter:
         self.write_batch((raw,))
 
     def write_batch(self, batch: Iterable[RawEvent]) -> None:
-        if self._fh is None:
-            raise RuntimeError("spill writer already closed")
-        chunk = bytearray()
-        n = 0
-        for raw in batch:
-            chunk += _pack(raw)
-            n += 1
-        self._fh.write(bytes(chunk))
-        self._count += n
+        self.write_packed(pack_records(batch))
 
     def write_packed(self, data: bytes | bytearray) -> None:
-        """Write records already packed by the encode-at-record fast
-        path: one ``write``, zero re-encoding."""
+        """Write records already packed by a record kernel: one
+        ``write``, zero re-encoding."""
         if self._fh is None:
             raise RuntimeError("spill writer already closed")
         if len(data) % RECORD_SIZE:

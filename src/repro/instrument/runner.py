@@ -84,11 +84,12 @@ def run_instrumented(
     config:
         Rewrite configuration (lists+arrays by default).
     channel:
-        Event transport for the capture (synchronous by default; pass a
-        :class:`~repro.events.batching.BatchingChannel` for the batched
-        low-overhead pipeline).
+        Event transport for the capture (a fresh in-memory
+        :class:`~repro.events.channel.Channel` by default; pass one with
+        a spill file, or a remote channel).
     sampling:
-        Optional sampling policy applied before each channel post.
+        Optional sampling policy filtering events before the record
+        kernel.
     guard:
         Optional :class:`~repro.runtime.guard.RuntimeGuard` armed for
         the duration of the run: profiler faults are contained instead

@@ -157,8 +157,8 @@ class CircuitBreaker:
 def channel_stall_probe(channel) -> Callable[[], bool]:
     """Healthy while the channel's drainer thread is alive and has not
     recorded an internal error.  Duck-typed: works for any channel with
-    a ``_drainer`` thread (BatchingChannel, RemoteChannel); channels
-    without one are always healthy."""
+    a ``_drainer`` thread (Channel, RemoteChannel); a channel whose
+    drainer has not started yet, or without one, is healthy."""
 
     def probe() -> bool:
         if getattr(channel, "_closed", False):

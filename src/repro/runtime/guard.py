@@ -6,7 +6,7 @@ misbehaves.  The :class:`RuntimeGuard` enforces that contract at the
 host-process boundary.  When a guard is *armed* (via :func:`arm`, the
 :func:`firewall` context manager, or ``dsspy analyze --guard-budget``),
 every recording hook — ``TrackedBase._record``, ``register_instance``,
-channel ``post``/``flush``, remote sends, the exit drain — runs under
+the channel's buffer bind and drain, remote sends, the exit drain — runs under
 it:
 
 * profiler-internal exceptions are swallowed and counted by category
@@ -28,7 +28,7 @@ posture you opt into.
 
 Hot-path cost discipline: the ambient guard lives in a one-slot list
 cell (``ACTIVE_GUARD[0]`` is a single C subscript, the same trick as
-``BatchingChannel``'s ``_open`` gate), the blocked flag is another
+``Channel``'s ``_open`` gate), the blocked flag is another
 cell, and the re-entrancy flag is a ``threading.local`` subclass with a
 class-level default so unarmed and healthy-armed paths never take a
 lock or raise.  The added cost is gated by the ``guard_vs_plain``
@@ -52,7 +52,7 @@ FAULT_CATEGORIES = (
     "record",  # TrackedBase._record -> EventCollector.record
     "register",  # instance registration at construction
     "site",  # allocation-site frame walk
-    "post",  # channel post/producer
+    "post",  # channel buffer bind
     "flush",  # channel flush/drain paths
     "send",  # remote wire writes
     "drain",  # terminal drain / exit drain
@@ -240,17 +240,9 @@ class RuntimeGuard:
     def watch_channel(self, channel) -> None:
         """Register a channel whose ``fail_open()`` must run when the
         breaker trips (so producers can never block on a dead
-        drainer).  Held by weakref when possible, so drained channels
-        just drop out; slotted channels without ``__weakref__`` (the
-        synchronous one) are held strongly — they have no ``fail_open``
-        anyway and the guard's lifetime is one run."""
-        try:
-            ref = weakref.ref(channel)
-        except TypeError:
-            def ref(obj=channel):
-                return obj
+        drainer).  Held by weakref, so drained channels just drop out."""
         with self._lock:
-            self._channels.append(ref)
+            self._channels.append(weakref.ref(channel))
 
     # -- reporting --------------------------------------------------------
 

@@ -10,9 +10,9 @@ bounded-memory fold that converges to the exact batch
 :class:`~repro.usecases.UseCaseEngine` report.
 
 Producer side, :class:`RemoteChannel` drops into the existing
-collector/channel seam: same hot path as
-:class:`~repro.events.batching.BatchingChannel`, network I/O on the
-drainer thread, transparent reconnect-and-retransmit on failure.
+collector/channel seam: the same record kernel and packed buffers as
+the in-process :class:`~repro.events.channel.Channel`, network I/O on
+the drainer thread, transparent reconnect-and-retransmit on failure.
 """
 
 from .client import (

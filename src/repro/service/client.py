@@ -2,11 +2,11 @@
 
 :class:`ServiceClient` is the thin protocol speaker: connect, HELLO,
 ship frames, strict request/response for the control messages.
-:class:`RemoteChannel` is what instrumented programs actually use — a
-:class:`~repro.events.batching.BatchingChannel` whose drainer-thread
-sink forwards each harvested batch to the daemon, so the hot recording
-path stays the same bare ``list.append`` as the in-process pipeline
-and all network cost is paid off-thread.
+:class:`RemoteChannel` is what instrumented programs actually use -- the
+in-process :class:`~repro.events.channel.Channel` whose drainer thread
+also forwards each harvest's packed bytes to the daemon as they are, so
+the hot recording path is the same record kernel as in-process and all
+network cost is paid off-thread.
 
 Fault tolerance lives here, not in user code: the channel keeps every
 event in its master buffer until drained, tracks how much of it the
@@ -27,10 +27,10 @@ import time
 from pathlib import Path
 from typing import Any
 
-from ..events.batching import BatchingChannel
+from ..events.channel import Channel
 from ..events.event import RawEvent
 from ..events.profile import AllocationSite
-from ..events.spill import RECORD_SIZE, SpillWriter, pack_record
+from ..events.spill import RECORD_SIZE, SpillWriter, pack_records
 from ..events.types import StructureKind
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .protocol import (
@@ -48,6 +48,10 @@ from .protocol import (
     version_offer,
 )
 from .shm import DEFAULT_RING_RECORDS, ShmRing
+
+#: Records per EVENTS window the drainer ships: bounds the daemon's
+#: per-window decode and journal append however long a harvest was.
+SHIP_WINDOW = 4096
 
 
 def parse_address(text: str) -> tuple[int, Any]:
@@ -148,12 +152,22 @@ class ServiceClient:
                 encode_json(MessageType.REGISTER, {"instances": instances})
             )
 
-    def send_events(self, start: int, raws: list[RawEvent]) -> None:
-        """Ship a window of raw events (no reply); chunks as needed."""
+    def send_events(
+        self, start: int, events: bytes | bytearray | list[RawEvent]
+    ) -> None:
+        """Ship a window of events starting at stream index ``start``
+        (no reply); chunks to the frame limit.  ``events`` is packed
+        records, or raw event tuples packed here."""
+        if isinstance(events, list):
+            events = pack_records(events)
+        span = MAX_EVENTS_PER_FRAME * RECORD_SIZE
         with self._io_lock:
-            for offset in range(0, len(raws), MAX_EVENTS_PER_FRAME):
-                chunk = raws[offset : offset + MAX_EVENTS_PER_FRAME]
-                self._sock.sendall(encode_events(start + offset, chunk))
+            for offset in range(0, len(events), span):
+                self._sock.sendall(
+                    encode_events(
+                        start + offset // RECORD_SIZE, events[offset : offset + span]
+                    )
+                )
 
     def heartbeat(self) -> dict[str, Any]:
         return self._request(MessageType.HEARTBEAT, {})
@@ -298,16 +312,17 @@ class BackoffPolicy:
         return max(0.0, self._until - self._clock.monotonic())
 
 
-class RemoteChannel(BatchingChannel):
-    """Batching channel that streams its harvests to a daemon.
+class RemoteChannel(Channel):
+    """The event channel, streaming its harvests to a daemon.
 
-    Producer side is untouched :class:`BatchingChannel` (same ~25 ns
-    append); the drainer's ``sink`` hook ships each batch.  The master
-    buffer retains everything (``block`` policy, no spill), serving as
-    the retransmission source: on any socket error the channel marks
-    itself disconnected and the next harvest reconnects with the same
-    session id, rewinds its cursor to the server's ``received`` count,
-    and resends the tail.
+    The record side is the untouched :class:`Channel` (the same record
+    kernel and per-thread buffers); after each harvest the drainer
+    thread ships the new packed bytes as they are.  The master buffer
+    retains everything (no spill), serving as the retransmission
+    source: on any socket error the channel marks itself disconnected
+    and the next harvest reconnects with the same session id, rewinds
+    its cursor to the server's ``received`` count, and resends the
+    tail.
 
     ``drain()`` performs the handshake ending the session: final ship,
     FIN, and stores the server's report in :attr:`final_ack`.
@@ -324,9 +339,9 @@ class RemoteChannel(BatchingChannel):
         fallback_spill: str | Path | None = None,
         transport: str = "socket",
         ring_records: int = DEFAULT_RING_RECORDS,
-        **batching_kwargs: Any,
+        **channel_kwargs: Any,
     ) -> None:
-        if batching_kwargs.pop("spill", None) is not None:
+        if channel_kwargs.pop("spill", None) is not None:
             raise ValueError(
                 "RemoteChannel keeps its retransmission source in RAM; "
                 "spill is not supported (use the daemon-side spill instead)"
@@ -335,11 +350,13 @@ class RemoteChannel(BatchingChannel):
             raise ValueError(
                 f"transport must be 'socket' or 'shm', got {transport!r}"
             )
-        batching_kwargs.setdefault("policy", "block")
         self.address = address
         self._transport = transport
         self._ring_records = ring_records
         self._ring: ShmRing | None = None
+        #: Last unexpected exception a ship attempt raised; the events
+        #: stay in the master buffer and the next harvest retries.
+        self.ship_error: Exception | None = None
         #: Harvests that stalled because the ring had no room (the
         #: consumer was behind); the tail is retried next harvest.
         self.ring_full = 0
@@ -359,10 +376,9 @@ class RemoteChannel(BatchingChannel):
         )
         self._down_since: float | None = None
         self._gave_up = False
-        self.spill_path: Path | None = None
         self._heartbeat_interval = heartbeat_interval
         self._connect()  # fail fast: a bad address raises here, not mid-run
-        super().__init__(sink=self._ship, **batching_kwargs)
+        super().__init__(**channel_kwargs)
         self._hb_stop = threading.Event()
         self._hb_thread = threading.Thread(
             target=self._heartbeat_loop,
@@ -471,13 +487,16 @@ class RemoteChannel(BatchingChannel):
         ):
             self._gave_up = True
 
-    def _ship(self, batch: list[RawEvent]) -> None:  # noqa: ARG002
-        """Sink hook: forward everything harvested but not yet shipped.
-
-        Works from the master buffer rather than the batch argument so
-        a failed send is automatically retried by the next harvest."""
-        with self._ship_lock:
-            self._ship_pending()
+    def _after_harvest(self) -> None:
+        """Drainer hook: forward everything harvested but not yet
+        shipped.  Works from the master buffer, so a failed send is
+        retried by the next harvest; an unexpected error never kills
+        the drainer."""
+        try:
+            with self._ship_lock:
+                self._ship_pending()
+        except Exception as exc:
+            self.ship_error = exc
 
     def _ship_pending(self, force: bool = False) -> None:
         if self._gave_up:
@@ -490,27 +509,30 @@ class RemoteChannel(BatchingChannel):
             except (OSError, ProtocolError) as exc:
                 self._note_failure(exc)
                 return  # still down; retry after the backoff delay
-        pending = self._master[self._shipped :]
+        pending = self._master[self._shipped * RECORD_SIZE :]
         if not pending:
             return
         ring = self._ring
         if ring is not None:
-            # Zero-syscall path: pack straight into the shared ring.
-            # Partial fit is backpressure, not failure — the daemon's
-            # consumer frees space and the next harvest ships the rest.
+            # Zero-syscall path: copy the packed bytes into the shared
+            # ring.  Partial fit is backpressure, not failure -- the
+            # daemon's consumer frees space and the next harvest ships
+            # the rest.
             room = ring.free // RECORD_SIZE
             if room <= 0:
                 self.ring_full += 1
                 return
-            chunk = pending[:room]
-            written = ring.write(b"".join(map(pack_record, chunk)))
+            written = ring.write(bytes(pending[: room * RECORD_SIZE]))
             self._shipped += written // RECORD_SIZE
-            if written // RECORD_SIZE < len(pending):
+            if written < len(pending):
                 self.ring_full += 1
             return
+        span = SHIP_WINDOW * RECORD_SIZE
         try:
-            self._client.send_events(self._shipped, pending)
-            self._shipped += len(pending)
+            for offset in range(0, len(pending), span):
+                window = pending[offset : offset + span]
+                self._client.send_events(self._shipped, window)
+                self._shipped += len(window) // RECORD_SIZE
         except (OSError, ProtocolError) as exc:
             self._disconnect()
             self._note_failure(exc)
@@ -610,35 +632,38 @@ class RemoteChannel(BatchingChannel):
         unshipped events go to the fallback spill at drain time."""
         return self._gave_up
 
-    def drain(self) -> list[RawEvent]:
+    def drain(self) -> bytes | bytearray:
         """Final harvest + final ship + FIN.  Returns the locally
-        retained events (so in-process analysis still works), with the
-        server's report available in :attr:`final_ack`.
+        retained packed events (so in-process analysis still works),
+        with the server's report available in :attr:`final_ack`.
 
         When the daemon stayed unreachable past the give-up deadline,
         the unshipped tail is written to the fallback spill file
-        (:attr:`spill_path`) instead of being dropped — ``dsspy
+        (:attr:`spill_path`) instead of being dropped -- ``dsspy
         analyze`` reads the residue with the ordinary spill tooling."""
-        master = super().drain()
+        if self._closed:
+            return self._take_capture()
+        self._close()
         self._hb_stop.set()
         self._hb_thread.join(timeout=5.0)
+        total = len(self._master) // RECORD_SIZE
         with self._ship_lock:
             # Stall-bounded final ship: iterations that move the cursor
             # are free (a small ring legitimately needs many refills),
             # only consecutive no-progress rounds count against the
-            # budget — a dead daemon exhausts it quickly.
+            # budget -- a dead daemon exhausts it quickly.
             max_stalls = 50 if self._transport == "shm" else 3
             stalls_left = max_stalls
             while stalls_left > 0:
                 before = self._shipped
                 self._ship_pending(force=True)
-                if self._client is not None and self._shipped == len(master):
+                if self._client is not None and self._shipped == total:
                     break
                 if self._shipped == before:
                     stalls_left -= 1
                     if self._ring is not None and stalls_left > 0:
                         # Ring full: give the daemon's consumer a moment
-                        # to free space before packing the remainder.
+                        # to free space before copying the remainder.
                         time.sleep(0.01)
                 else:
                     stalls_left = max_stalls
@@ -663,8 +688,8 @@ class RemoteChannel(BatchingChannel):
                 # the daemon has already detached its side.
                 self._ring.unlink()
                 self._ring = None
-            if self._shipped < len(master) and self._fallback_spill is not None:
+            if self._shipped < total and self._fallback_spill is not None:
                 with SpillWriter(self._fallback_spill) as writer:
-                    writer.write_batch(master[self._shipped :])
+                    writer.write_packed(self._master[self._shipped * RECORD_SIZE :])
                 self.spill_path = self._fallback_spill
-        return master
+        return self._take_capture()

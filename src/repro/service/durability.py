@@ -646,6 +646,11 @@ class SessionJournal:
                     yield start, raws
                 cursor = end
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` ran; appends then raise."""
+        return self._closed
+
     def close(self) -> None:
         with self._lock:
             self._closed = True

@@ -8,9 +8,9 @@ A conversation is a sequence of *frames*, each::
 
 Control frames (HELLO, ACK, REGISTER, HEARTBEAT, FIN, STATS, ERROR)
 carry UTF-8 JSON payloads — they are rare, so readability beats
-compactness.  EVENTS frames carry the hot data and reuse the spill
-file's fixed-width record packing (:func:`~repro.events.spill.pack_record`)
-verbatim::
+compactness.  EVENTS frames carry the hot data: the record kernels'
+packed bytes (the spill file's fixed-width layout,
+:func:`~repro.events.spill.pack_record`) shipped verbatim::
 
     8 bytes   big-endian uint64: stream index of the first event
     4 bytes   big-endian uint32: record count
@@ -33,10 +33,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Iterable
+from typing import Any
 
 from ..events.event import RawEvent
-from ..events.spill import RECORD_SIZE, pack_record, record_is_plausible, unpack_record
+from ..events.spill import RECORD_SIZE, record_is_plausible, unpack_record
 
 
 class ProtocolError(Exception):
@@ -293,19 +293,21 @@ def parse_shm_offer(obj: dict[str, Any]) -> tuple[str, int] | None:
 # -- EVENTS payloads ---------------------------------------------------------
 
 
-def encode_events(start: int, raws: Iterable[RawEvent]) -> bytes:
-    """EVENTS frame for ``raws`` starting at stream index ``start``."""
-    body = bytearray()
-    count = 0
-    for raw in raws:
-        body += pack_record(raw)
-        count += 1
+def encode_events(start: int, packed: bytes | bytearray | memoryview) -> bytes:
+    """EVENTS frame for the packed records ``packed`` (a whole number
+    of spill records, as the record kernels write them) starting at
+    stream index ``start``."""
+    count, torn = divmod(len(packed), RECORD_SIZE)
+    if torn:
+        raise ProtocolError(
+            f"{len(packed)} bytes is not a whole number of {RECORD_SIZE}-byte records"
+        )
     if count > MAX_EVENTS_PER_FRAME:
         raise ProtocolError(
             f"{count} events exceed MAX_EVENTS_PER_FRAME ({MAX_EVENTS_PER_FRAME})"
         )
     return encode_frame(
-        MessageType.EVENTS, _EVENTS_HEADER.pack(start, count) + bytes(body)
+        MessageType.EVENTS, _EVENTS_HEADER.pack(start, count) + bytes(packed)
     )
 
 

@@ -330,6 +330,7 @@ class Session:
         self.duplicates = 0
         self.admission_decimated = 0
         self.refused_windows = 0  # windows turned away under resource pressure
+        self.refused_after_close = 0  # REGISTER/EVENTS that raced the close
         self.forced_checkpoints = 0  # journal-compact rung compactions
         self.recovered = False
         self._governor = governor
@@ -390,8 +391,7 @@ class Session:
         from .governor import ResourcePressure, is_resource_error
 
         with self._lock:
-            if self.state == SessionState.FINISHED:
-                raise ProtocolError(f"session {self.session_id} already finished")
+            self._refuse_if_closed_locked("EVENTS")
             if start > self.received:
                 raise ProtocolError(
                     f"event gap: window starts at {start} but only "
@@ -556,8 +556,20 @@ class Session:
         journal = self.journal
         return journal.size_bytes() if journal is not None else 0
 
+    def _refuse_if_closed_locked(self, frame: str) -> None:
+        """A frame that races the session's close -- FIN, park or abandon
+        already closed the journal -- is refused with a
+        :class:`ProtocolError` (the daemon answers ERROR and drops the
+        connection) and counted in ``refused_after_close``."""
+        if self.state == SessionState.FINISHED or (
+            self.journal is not None and self.journal.closed
+        ):
+            self.refused_after_close += 1
+            raise ProtocolError(f"session {self.session_id} is closed; {frame} refused")
+
     def register(self, instance_id: int, kind, site, label) -> None:
         with self._lock:
+            self._refuse_if_closed_locked("REGISTER")
             if self.journal is not None:
                 from .durability import _site_to_dict
 
@@ -710,6 +722,7 @@ class Session:
                 "spilled": self.pipeline.spilled,
                 "spill_corrupt_skipped": self.pipeline.spill_corrupt_skipped,
                 "refused_windows": self.refused_windows,
+                "refused_after_close": self.refused_after_close,
                 "forced_checkpoints": self.forced_checkpoints,
                 "append_failures": (
                     self.journal.append_failures if self.journal is not None else 0

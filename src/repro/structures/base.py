@@ -103,9 +103,10 @@ class TrackedBase:
 
     Subclasses declare their species via ``KIND`` and call
     :meth:`_record` from every interface method.  The recording path is
-    deliberately minimal -- one method call, one tuple, one channel
-    post -- because the instrumentation slowdown (Table IV) is dominated
-    by exactly this path.
+    deliberately minimal -- one method call into the record kernel,
+    which packs the event into this thread's buffer -- because the
+    instrumentation slowdown (Table IV) is dominated by exactly this
+    path.
     """
 
     KIND: StructureKind = StructureKind.OTHER

@@ -14,13 +14,14 @@ itself, inside the host process — the failure modes the
     a tracked structure fails inside the profiler.
 
 ``raising-channel``
-    :class:`RaisingChannel` raises from ``post`` after an initial grace
-    period — a transport that works, then breaks mid-capture.
+    :class:`RaisingChannel` raises from its buffer bind after an
+    initial grace period — a transport that works, then breaks
+    mid-capture.
 
 ``hanging-channel``
-    :class:`HangingChannel` blocks in ``drain`` (or ``post``) until
-    released — the silent-stall mode only a watchdog or bounded drain
-    can catch; no exception is ever raised.
+    :class:`HangingChannel` blocks in ``drain`` (or its buffer bind)
+    until released — the silent-stall mode only a watchdog or bounded
+    drain can catch; no exception is ever raised.
 
 ``fork-under-load``
     Not a class: ``os.fork()`` while recording threads are live,
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import threading
 
+from ..events.channel import Channel
 from ..events.collector import EventCollector
-from ..events.event import RawEvent
 
 #: Client-side fault kinds (the firewall's threat model), extending the
 #: wire-level ``FAULT_KINDS`` of :mod:`~repro.testing.faults`.
@@ -85,6 +86,8 @@ class HostileCollector(EventCollector):
         self.every = every
         self.record_calls = 0
         self.register_calls = 0
+        self._inner_record = self.record
+        self.record = self._raising_record
 
     def register_instance(self, kind, site=None, label=""):
         self.register_calls += 1
@@ -94,71 +97,58 @@ class HostileCollector(EventCollector):
             )
         return super().register_instance(kind, site=site, label=label)
 
-    def record(self, instance_id, op, kind, position, size):
+    def _raising_record(self, instance_id, op, kind, position, size):
         self.record_calls += 1
         if self.fail_record and self.record_calls % self.every == 0:
             raise ProfilerBug(f"injected record fault (call {self.record_calls})")
-        super().record(instance_id, op, kind, position, size)
+        self._inner_record(instance_id, op, kind, position, size)
 
 
-class RaisingChannel:
-    """A channel whose ``post`` raises after ``after`` successful posts.
+class RaisingChannel(Channel):
+    """A channel whose buffer bind raises after ``after`` successful binds.
 
     Models a transport that works and then breaks mid-capture (a
     full disk behind a spill file, a socket torn down under the
-    drainer).  ``drain``/``snapshot`` keep working so a healthy guard
-    can still salvage what was recorded before the break.
+    drainer).  A failed bind leaves the kernel unbound, so every later
+    record of that thread retries the bind and raises again.
+    ``drain``/``snapshot`` keep working so a healthy guard can still
+    salvage what was recorded before the break.
     """
 
-    def __init__(self, after: int = 0) -> None:
+    def __init__(self, after: int = 0, **kwargs) -> None:
+        super().__init__(**kwargs)
         self.after = after
-        self.posts = 0
-        self._buffer: list[RawEvent] = []
-        self._closed = False
+        self.binds = 0
 
-    def post(self, raw: RawEvent) -> None:
-        if self._closed:
-            raise RuntimeError("channel already drained")
-        if self.posts >= self.after:
-            self.posts += 1
-            raise ProfilerBug(f"injected channel post fault (post {self.posts})")
-        self.posts += 1
-        self._buffer.append(raw)
-
-    def drain(self) -> list[RawEvent]:
-        self._closed = True
-        return self._buffer
-
-    def snapshot(self) -> list[RawEvent]:
-        return self._buffer
-
-    @property
-    def pending(self) -> int:
-        return len(self._buffer)
+    def acquire_buffer(self) -> bytearray:
+        self.binds += 1
+        if self.binds > self.after:
+            raise ProfilerBug(f"injected channel bind fault (bind {self.binds})")
+        return super().acquire_buffer()
 
 
-class HangingChannel:
+class HangingChannel(Channel):
     """A channel that blocks instead of raising — the silent stall.
 
-    ``drain`` (and optionally ``post``) wait on an internal event that
-    only :meth:`release` sets; ``max_hold`` bounds the wait so a test
-    whose containment *failed* still terminates with a diagnosable
-    assertion instead of deadlocking the suite.
+    ``drain`` (and optionally the buffer bind) wait on an internal
+    event that only :meth:`release` sets; ``max_hold`` bounds the wait
+    so a test whose containment *failed* still terminates with a
+    diagnosable assertion instead of deadlocking the suite.
     """
 
     def __init__(
         self,
-        hang_post: bool = False,
+        hang_bind: bool = False,
         hang_drain: bool = True,
         max_hold: float = 30.0,
+        **kwargs,
     ) -> None:
-        self.hang_post = hang_post
+        super().__init__(**kwargs)
+        self.hang_bind = hang_bind
         self.hang_drain = hang_drain
         self.max_hold = max_hold
         self.held = 0
         self._release = threading.Event()
-        self._buffer: list[RawEvent] = []
-        self._closed = False
 
     def release(self) -> None:
         """Unblock every current and future hold."""
@@ -168,26 +158,15 @@ class HangingChannel:
         self.held += 1
         self._release.wait(self.max_hold)
 
-    def post(self, raw: RawEvent) -> None:
-        if self._closed:
-            raise RuntimeError("channel already drained")
-        if self.hang_post:
+    def acquire_buffer(self) -> bytearray:
+        if self.hang_bind:
             self._hold()
-        self._buffer.append(raw)
+        return super().acquire_buffer()
 
-    def drain(self) -> list[RawEvent]:
-        if not self._closed:
-            if self.hang_drain:
-                self._hold()
-            self._closed = True
-        return self._buffer
-
-    def snapshot(self) -> list[RawEvent]:
-        return list(self._buffer)
-
-    @property
-    def pending(self) -> int:
-        return len(self._buffer)
+    def drain(self) -> bytes | bytearray:
+        if not self._closed and self.hang_drain:
+            self._hold()
+        return super().drain()
 
 
 def make_hostile_collector(kind: str, every: int = 1) -> EventCollector:

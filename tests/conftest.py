@@ -11,6 +11,7 @@ from repro.events import (
     OperationKind,
     RuntimeProfile,
     StructureKind,
+    pack_record,
     reset_ambient,
 )
 
@@ -63,3 +64,11 @@ def make_profile(
         for i, (op, pos, size) in enumerate(specs)
     ]
     return RuntimeProfile.from_events(events, kind=kind)
+
+
+def post_raws(channel, raws) -> None:
+    """Record raw event tuples into ``channel`` from the calling thread,
+    packed exactly as given (thread id and wall time included)."""
+    buf = channel.acquire_buffer()
+    for raw in raws:
+        buf += pack_record(raw)

@@ -1,4 +1,4 @@
-"""Tests for the low-overhead recording pipeline: batching channel,
+"""Tests for the recording pipeline: the channel's per-thread batching,
 sampling policies, spill format, and the CI overhead gate."""
 
 from __future__ import annotations
@@ -14,21 +14,20 @@ import pytest
 
 from repro.events import (
     AccessKind,
-    AsyncChannel,
-    BatchingChannel,
     Burst,
+    Channel,
     Decimate,
     EventCollector,
     OperationKind,
-    ProcessChannel,
     RecordAll,
     SpillWriter,
     StructureKind,
     collecting,
     iter_spill_events,
-    make_channel,
+    make_recorder,
     parse_sampling,
     read_spill_raw,
+    unpack_records,
 )
 from repro.structures import TrackedList
 from repro.usecases import UseCaseEngine
@@ -50,40 +49,50 @@ def raw(instance_id: int, position: int, thread_id: int = 0):
     )
 
 
+def kernel(channel: Channel, tid: int = 0):
+    """A record kernel bound to ``channel`` for the calling thread."""
+    record = make_recorder(lambda: (tid, channel.acquire_buffer()))
+    channel.add_invalidate_listener(record.invalidate)
+    return record
+
+
+def record_raws(channel: Channel, raws, tid: int = 0) -> None:
+    record = kernel(channel, tid)
+    for r in raws:
+        record(*r[:5])
+
+
 class TestBatchingChannel:
     def test_flush_on_drain_preserves_order(self):
-        channel = BatchingChannel(batch_size=64)
-        for i in range(10_000):
-            channel.post(raw(1, i))
-        events = channel.drain()
+        channel = Channel()
+        record_raws(channel, (raw(1, i) for i in range(10_000)))
+        events = unpack_records(channel.drain())
         assert [r[3] for r in events] == list(range(10_000))
 
     def test_drain_is_idempotent_and_closes(self):
-        channel = BatchingChannel()
-        channel.post(raw(1, 0))
-        assert len(channel.drain()) == 1
-        assert len(channel.drain()) == 1
+        channel = Channel()
+        record_raws(channel, [raw(1, 0)])
+        assert len(unpack_records(channel.drain())) == 1
+        assert len(channel.drain()) == 0  # the capture was handed over
         with pytest.raises(RuntimeError, match="drained"):
-            channel.post(raw(1, 1))
+            channel.acquire_buffer()
 
     def test_snapshot_sees_everything_posted_before_it(self):
-        channel = BatchingChannel()
-        produce = channel.producer()
+        channel = Channel()
+        record = kernel(channel)
         for i in range(5_000):
-            produce(raw(1, i))
-        snap = channel.snapshot()
+            record(*raw(1, i)[:5])
+        snap = unpack_records(channel.snapshot())
         assert len(snap) == 5_000
         for i in range(5_000, 6_000):
-            produce(raw(1, i))
-        assert len(channel.drain()) == 6_000
+            record(*raw(1, i)[:5])
+        assert len(unpack_records(channel.drain())) == 6_000
 
     def test_multithread_interleaving_keeps_per_thread_order(self):
-        channel = BatchingChannel(flush_interval=0.001)
+        channel = Channel(flush_interval=0.001)
 
         def worker(tid: int, count: int) -> None:
-            produce = channel.producer()
-            for i in range(count):
-                produce(raw(tid, i, thread_id=tid))
+            record_raws(channel, (raw(tid, i, thread_id=tid) for i in range(count)), tid)
 
         threads = [
             threading.Thread(target=worker, args=(tid, 5_000)) for tid in range(4)
@@ -92,45 +101,33 @@ class TestBatchingChannel:
             t.start()
         for t in threads:
             t.join()
-        events = channel.drain()
+        events = unpack_records(channel.drain())
         assert len(events) == 20_000
         for tid in range(4):
-            positions = [r[3] for r in events if r[0] == tid]
-            assert positions == list(range(5_000))
-
-    def test_drop_policy_bounds_memory_and_counts_drops(self):
-        channel = BatchingChannel(
-            max_buffered=1_000, policy="drop", flush_interval=0.001
-        )
-        produce = channel.producer()
-        for i in range(20_000):
-            produce(raw(1, i))
-        events = channel.drain()
-        assert len(events) == 1_000
-        assert channel.dropped == 19_000
-        assert channel.pending == 20_000
+            assert [r for r in events if r[5] == tid] == [
+                raw(tid, i, thread_id=tid) for i in range(5_000)
+            ]
 
     def test_block_policy_raises_when_pipeline_is_wedged(self):
-        channel = BatchingChannel(
+        channel = Channel(
             max_buffered=100,
-            policy="block",
             flush_interval=0.001,
             block_timeout=0.2,
         )
-        produce = channel.producer()
+        record = kernel(channel)
         with pytest.raises(RuntimeError, match="backpressure"):
             for i in range(100_000):
-                produce(raw(1, i))
+                record(*raw(1, i)[:5])
+                if i % 1_000 == 999:
+                    channel.snapshot()  # a harvest sees the overrun
         channel.drain()
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            BatchingChannel(batch_size=0)
-        with pytest.raises(ValueError, match="policy"):
-            BatchingChannel(policy="panic")
+        with pytest.raises(ValueError, match="max_buffered"):
+            Channel(max_buffered=0)
 
     def test_collector_integration(self):
-        with collecting(channel=BatchingChannel()) as session:
+        with collecting(channel=Channel()) as session:
             xs = TrackedList(label="batched")
             for i in range(500):
                 xs.append(i)
@@ -140,24 +137,16 @@ class TestBatchingChannel:
         # 500 appends + 500 reads + the construction event
         assert len(profile) == 1_001
 
-    def test_make_channel_factory(self):
-        assert isinstance(make_channel("sync"), type(make_channel("sync")))
-        assert isinstance(make_channel("batch"), BatchingChannel)
-        assert isinstance(make_channel("async"), AsyncChannel)
-        with pytest.raises(ValueError, match="unknown channel"):
-            make_channel("teleport")
-
 
 class TestSpill:
     def test_spill_roundtrip_equals_in_memory_capture(self, tmp_path):
         events = [raw(7, i) for i in range(20_000)]
-        memory = BatchingChannel()
-        spilled = BatchingChannel(spill=tmp_path / "capture.spill")
+        memory = Channel()
+        spilled = Channel(spill=tmp_path / "capture.spill")
         for channel in (memory, spilled):
-            produce = channel.producer()
-            for r in events:
-                produce(r)
-        assert spilled.drain() == memory.drain() == events
+            record_raws(channel, events)
+        assert unpack_records(spilled.drain()) == unpack_records(memory.drain()) == events
+        assert read_spill_raw(tmp_path / "capture.spill") == events
 
     def test_spill_preserves_none_position_and_wall_time(self, tmp_path):
         path = tmp_path / "x.spill"
@@ -186,15 +175,17 @@ class TestSpill:
         path.write_bytes(data[:-7])
         assert len(read_spill_raw(path)) == 4
 
-    def test_cli_spill_requires_batch_channel(self, tmp_path):
+    def test_cli_spill_writes_the_capture(self, tmp_path):
         from repro.cli import main
 
         program = tmp_path / "prog.py"
-        program.write_text("xs = [i for i in range(10)]\n", encoding="utf-8")
-        rc = main(
-            ["analyze", str(program), "--spill", str(tmp_path / "x.spill")]
+        program.write_text(
+            "xs = []\nfor i in range(10):\n    xs.append(i)\n", encoding="utf-8"
         )
-        assert rc == 2
+        spill = tmp_path / "x.spill"
+        assert main(["analyze", str(program), "--spill", str(spill)]) == 0
+        ops = [r[1] for r in read_spill_raw(spill)]
+        assert ops.count(int(OperationKind.INSERT)) == 10
 
 
 class TestSamplingPolicies:
@@ -296,9 +287,7 @@ class TestSamplingDetectionFidelity:
             (u.profile.label, u.kind)
             for u in engine.analyze_collector(full).use_cases
         }
-        with collecting(
-            channel=BatchingChannel(), sampling=Burst(1_000, 10)
-        ) as sampled:
+        with collecting(sampling=Burst(1_000, 10)) as sampled:
             workload.run_tracked(scale=0.5)
         sampled_cases = {
             (u.profile.label, u.kind)
@@ -338,21 +327,32 @@ class TestSamplingDetectionFidelity:
 
 class TestChannelRobustness:
     def test_async_snapshot_midstream_is_complete(self):
-        channel = AsyncChannel()
+        channel = Channel()
+        record = kernel(channel)
         for i in range(2_000):
-            channel.post(raw(1, i))
-        snap = channel.snapshot()
+            record(*raw(1, i)[:5])
+        snap = unpack_records(channel.snapshot())
         assert [r[3] for r in snap] == list(range(2_000))
-        channel.post(raw(1, 2_000))
-        assert len(channel.drain()) == 2_001
+        record(*raw(1, 2_000)[:5])
+        assert len(unpack_records(channel.drain())) == 2_001
 
-    def test_process_channel_dead_child_raises_clear_error(self):
-        channel = ProcessChannel(drain_timeout=3.0)
-        channel.post(raw(1, 0))
-        channel._process.terminate()
-        channel._process.join(timeout=5.0)
-        with pytest.raises(RuntimeError, match="died before drain"):
-            channel.drain()
+    def test_dead_drainer_fails_open_and_drain_salvages(self, monkeypatch):
+        channel = Channel()
+        record = kernel(channel)
+        record(*raw(1, 0)[:5])
+        channel.snapshot()  # the drainer absorbed the first record
+
+        def broken_harvest():
+            raise OSError("drainer bug")
+
+        monkeypatch.setattr(channel, "_harvest_all", broken_harvest)
+        channel.snapshot()  # the barrier is released by the dying drainer
+        channel._drainer.join(timeout=5.0)
+        assert isinstance(channel.drainer_error, OSError)
+        assert channel.failed_open
+        record(*raw(1, 1)[:5])
+        monkeypatch.undo()
+        assert [r[3] for r in unpack_records(channel.drain())] == [0, 1]
 
 
 class TestOverheadGate:
@@ -361,7 +361,7 @@ class TestOverheadGate:
         # either would trip the gate.
         return {
             "schema": 2,
-            "derived": {"batching_vs_plain": value, "remote_vs_plain": value},
+            "derived": {"tracked_batching_vs_plain": value, "remote_vs_plain": value},
             "channels": {},
         }
 

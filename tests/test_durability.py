@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.events.spill import read_spill_raw
+from repro.events.spill import read_spill_raw, unpack_records
 from repro.service import (
     AdmissionController,
     AdmissionStage,
@@ -52,6 +52,8 @@ from repro.testing.oracle import (
     summarize_report,
 )
 from repro.usecases.json_export import report_to_dict
+
+from .conftest import post_raws
 
 _REC_HEADER = struct.Struct("<BII")
 
@@ -605,23 +607,19 @@ class TestGiveUpFallbackSpill:
         daemon = ProfilingDaemon(port=0)
         channel = RemoteChannel(
             daemon.address,
-            batch_size=1,  # ship every event as it is produced
             heartbeat_interval=0.05,  # the heartbeat detects the dead link
             backoff=BackoffPolicy(base=0.01, cap=0.02, jitter=0.0),
             give_up_after=0.0,  # give up on the first confirmed failure
             fallback_spill=spill,
         )
         half = len(raws) // 2
-        produce = channel.producer()
-        for raw in raws[:half]:
-            produce(raw)
+        post_raws(channel, raws[:half])
         _wait_for(lambda: channel._shipped == half)
         daemon.crash()  # daemon dies and never comes back
         _wait_for(lambda: channel.gave_up)  # heartbeat read fails -> give up
-        for raw in raws[half:]:
-            produce(raw)
+        post_raws(channel, raws[half:])
         master = channel.drain()
-        assert master == raws, "local capture must be complete regardless"
+        assert unpack_records(master) == raws, "local capture must be complete regardless"
         assert channel.spill_path == spill
         assert read_spill_raw(spill) == raws[half:]
         assert channel.final_ack is None
@@ -629,12 +627,8 @@ class TestGiveUpFallbackSpill:
     def test_no_spill_without_give_up(self):
         raws = generate_trace(21).events
         with ProfilingDaemon(port=0) as daemon:
-            channel = RemoteChannel(
-                daemon.address, batch_size=64, heartbeat_interval=3600.0
-            )
-            produce = channel.producer()
-            for raw in raws:
-                produce(raw)
+            channel = RemoteChannel(daemon.address, heartbeat_interval=3600.0)
+            post_raws(channel, raws)
             channel.drain()
             assert channel.spill_path is None
             assert not channel.gave_up

@@ -9,18 +9,18 @@ import pytest
 from repro.events import (
     AccessKind,
     AllocationSite,
-    AsyncChannel,
+    Channel,
     EventCollector,
     NO_POSITION,
     OperationKind,
-    ProcessChannel,
     RuntimeProfile,
     StructureKind,
-    SynchronousChannel,
     collecting,
     end_of,
     get_collector,
+    make_recorder,
     materialize,
+    unpack_records,
 )
 
 from .conftest import make_event, make_profile
@@ -186,43 +186,35 @@ class TestAllocationSite:
         assert "xs" in str(site)
 
 
+def _record(channel: Channel, count: int) -> None:
+    record = make_recorder(lambda: (0, channel.acquire_buffer()))
+    for i in range(count):
+        record(i, 0, 0, None, 0)
+
+
 class TestChannels:
-    def test_synchronous_order(self):
-        ch = SynchronousChannel()
-        for i in range(100):
-            ch.post((i,))
+    def test_channel_order_and_pending(self):
+        ch = Channel()
+        _record(ch, 100)
         assert ch.pending == 100
-        drained = ch.drain()
-        assert drained == [(i,) for i in range(100)]
-        with pytest.raises(RuntimeError):
-            ch.post((0,))
+        assert [r[0] for r in unpack_records(ch.drain())] == list(range(100))
 
     def test_async_preserves_order(self):
-        ch = AsyncChannel()
-        for i in range(1000):
-            ch.post((i,))
-        drained = ch.drain()
-        assert drained == [(i,) for i in range(1000)]
+        ch = Channel()
+        _record(ch, 1000)
+        assert [r[0] for r in unpack_records(ch.drain())] == list(range(1000))
 
     def test_async_drain_idempotent(self):
-        ch = AsyncChannel()
-        ch.post((1,))
-        assert ch.drain() == [(1,)]
-        assert ch.drain() == [(1,)]
+        ch = Channel()
+        _record(ch, 1)
+        assert len(unpack_records(ch.drain())) == 1
+        assert len(ch.drain()) == 0  # handed over once; a repeat is harmless
 
     def test_async_post_after_drain_raises(self):
-        ch = AsyncChannel()
+        ch = Channel()
         ch.drain()
         with pytest.raises(RuntimeError):
-            ch.post((1,))
-
-    def test_process_channel_roundtrip(self):
-        ch = ProcessChannel()
-        for i in range(50):
-            ch.post((i, 0, 0, None, 0, 0, None))
-        drained = ch.drain()
-        assert len(drained) == 50
-        assert drained[0][0] == 0 and drained[-1][0] == 49
+            _record(ch, 1)
 
 
 class TestEventCollector:
@@ -283,13 +275,6 @@ class TestEventCollector:
                 assert get_collector() is inner_session
             assert get_collector() is outer_session
 
-    def test_wall_time_capture(self):
-        collector = EventCollector(capture_wall_time=True)
-        iid = collector.register_instance(StructureKind.LIST)
-        collector.record(iid, OperationKind.READ, AccessKind.READ, 0, 1)
-        ev = collector.finish()[iid][0]
-        assert ev.wall_time is not None and ev.wall_time > 0
-
     def test_profiles_by_label(self, collector):
         collector.register_instance(StructureKind.LIST, label="a")
         collector.register_instance(StructureKind.LIST, label="b")
@@ -304,7 +289,7 @@ class TestEventCollector:
         assert len(collector.profiles()) == 2
 
     def test_async_channel_collector(self):
-        collector = EventCollector(channel=AsyncChannel())
+        collector = EventCollector(channel=Channel())
         iid = collector.register_instance(StructureKind.LIST)
         for i in range(500):
             collector.record(iid, OperationKind.INSERT, AccessKind.WRITE, i, i + 1)

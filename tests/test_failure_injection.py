@@ -14,7 +14,7 @@ import pytest
 
 from repro.events import (
     AccessKind,
-    AsyncChannel,
+    Channel,
     EventCollector,
     OperationKind,
     StructureKind,
@@ -68,7 +68,15 @@ class TestLifecycleMisuse:
 
 
 class TestThreadStress:
-    @pytest.mark.parametrize("channel_factory", [None, AsyncChannel])
+    @pytest.mark.parametrize(
+        "channel_factory",
+        [
+            None,
+            # Harvest far more often than the default, so the drainer
+            # races the recording threads throughout.
+            pytest.param(lambda: Channel(flush_interval=0.0005), id="harvesting"),
+        ],
+    )
     def test_concurrent_producers_exact_counts(self, channel_factory):
         collector = EventCollector(
             channel=channel_factory() if channel_factory else None

@@ -16,8 +16,7 @@ import bisect
 
 import pytest
 
-from repro.events import EventCollector, PackedBatchingChannel, collecting
-from repro.events.fastpath import KERNEL
+from repro.events import Channel, EventCollector, collecting
 from repro.runtime import firewall
 from repro.service import StreamingUseCaseEngine
 from repro.structures import (
@@ -274,11 +273,11 @@ STRUCTURES = {
     ),
 }
 
-class BindRaisingPackedChannel(PackedBatchingChannel):
-    """A packed channel whose bind path dies: the collector's record
-    kernel engages normally, then every record faults inside the
-    kernel's buffer acquisition.  The hardest hostile case for the
-    fast path — the fault fires *after* dispatch was pre-bound."""
+class BindRaisingPackedChannel(Channel):
+    """A channel whose bind path dies: the collector's record kernel
+    engages normally, then every record faults inside the kernel's
+    buffer acquisition — the fault fires *after* dispatch was
+    pre-bound."""
 
     def acquire_buffer(self) -> bytearray:
         raise RuntimeError("hostile bind")
@@ -379,7 +378,7 @@ class TestFastpathUnderFirewall:
         plain_results = run_script(plain, ops, "plain")
 
         collector = EventCollector(channel=BindRaisingPackedChannel())
-        assert collector.fastpath == KERNEL  # the kernel really engaged
+        assert collector.record is collector._recorder  # the kernel engaged
 
         with firewall(budget=10**6) as guard:
             tracked = make_tracked(collector)
@@ -396,9 +395,9 @@ class TestFastpathUnderFirewall:
     def test_healthy_fastpath_under_guard_is_faultless(self, kind):
         make_tracked, _make_plain, ops, _state_of = STRUCTURES[kind]
 
-        channel = PackedBatchingChannel()
+        channel = Channel()
         collector = EventCollector(channel=channel)
-        assert collector.fastpath == KERNEL
+        assert collector.record is collector._recorder
         with firewall(budget=25) as guard:
             run_script(make_tracked(collector), ops, "tracked")
 

@@ -35,13 +35,15 @@ from repro.service import (
 )
 from repro.service.fleet import shard_dir_name
 
+from .conftest import post_raws
+
 REPO = Path(__file__).resolve().parent.parent
 
 
 def _ingest(address: str, session_id: str, events: int = 40) -> None:
     """One complete remote session: register, record, drain (FIN)."""
     channel = RemoteChannel(address, session_id=session_id, give_up_after=15.0)
-    collector = EventCollector(channel=channel, fastpath="off")
+    collector = EventCollector(channel=channel)
     iid = collector.register_instance(StructureKind.LIST)
     for i in range(events):
         collector.record(iid, OperationKind.READ, AccessKind.READ, i % 10, 10)
@@ -183,7 +185,7 @@ class TestRouter:
             channel = RemoteChannel(
                 router.address, session_id=sid, give_up_after=2.0
             )
-            channel.post((1, 0, 0, 0, 1, 0, None))
+            post_raws(channel, [(1, 0, 0, 0, 1, 0, None)])
             channel.drain()
 
     def test_worker_down_error_frame_names_worker(self, fleet):

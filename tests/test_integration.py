@@ -160,9 +160,10 @@ class TestDetectThenTransform:
 
 class TestAsyncPipeline:
     def test_async_channel_end_to_end(self):
-        from repro.events import AsyncChannel, EventCollector, push_collector, pop_collector
+        from repro.events import Channel, EventCollector, pop_collector, push_collector
 
-        collector = EventCollector(channel=AsyncChannel())
+        # The channel's drainer thread is the asynchronous hand-off.
+        collector = EventCollector(channel=Channel())
         push_collector(collector)
         try:
             xs = TrackedList(label="async")

@@ -8,8 +8,7 @@ import time
 
 import pytest
 
-from repro.events import collecting
-from repro.events.batching import BatchingChannel
+from repro.events import Channel, collecting
 from repro.runtime import (
     CircuitBreaker,
     RuntimeGuard,
@@ -200,7 +199,7 @@ class TestFirewall:
             TrackedList(collector=HostileCollector())
 
     def test_trip_fails_open_watched_channels(self):
-        channel = BatchingChannel(policy="block", max_buffered=10)
+        channel = Channel(max_buffered=10)
         try:
             guard = RuntimeGuard(budget=1)
             guard.watch_channel(channel)
@@ -307,7 +306,7 @@ class TestBoundedDrain:
 
 class TestWatchdog:
     def test_dead_drainer_trips_guard(self):
-        channel = BatchingChannel()
+        channel = Channel()
         channel.drain()  # closed channel is healthy...
         guard = RuntimeGuard(budget=10)
         dog = Watchdog(guard)

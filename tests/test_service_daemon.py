@@ -59,7 +59,7 @@ def _flagged(report_dict):
 class TestEndToEndRemoteChannel:
     def test_remote_report_matches_batch(self):
         with ProfilingDaemon(port=0) as daemon:
-            channel = RemoteChannel(daemon.address, batch_size=64)
+            channel = RemoteChannel(daemon.address)
             collector = EventCollector(channel=channel)
             push_collector(collector)
             try:

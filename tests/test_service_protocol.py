@@ -16,7 +16,7 @@ from repro.events import (
     record_is_plausible,
     unpack_record,
 )
-from repro.events.spill import MAGIC
+from repro.events.spill import MAGIC, pack_records
 from repro.service import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -124,7 +124,7 @@ class TestEventsPayload:
     def test_roundtrip(self):
         rng = random.Random(3)
         raws = [_random_raw(rng) for _ in range(1000)]
-        frames = FrameDecoder().feed(encode_events(17, raws))
+        frames = FrameDecoder().feed(encode_events(17, pack_records(raws)))
         mtype, payload = frames[0]
         assert mtype == MessageType.EVENTS
         start, decoded = decode_events(payload)
@@ -132,11 +132,13 @@ class TestEventsPayload:
         assert decoded == raws
 
     def test_empty_window(self):
-        _, payload = FrameDecoder().feed(encode_events(0, []))[0]
+        _, payload = FrameDecoder().feed(encode_events(0, pack_records([])))[0]
         assert decode_events(payload) == (0, [])
 
     def test_truncated_payload_rejected(self):
-        _, payload = FrameDecoder().feed(encode_events(0, [(1, 0, 0, 0, 1, 0, None)]))[0]
+        _, payload = FrameDecoder().feed(
+            encode_events(0, pack_records([(1, 0, 0, 0, 1, 0, None)]))
+        )[0]
         with pytest.raises(ProtocolError, match="body bytes"):
             decode_events(payload[:-1])
 
@@ -147,12 +149,12 @@ class TestEventsPayload:
     def test_validate_passes_clean_frames(self):
         rng = random.Random(9)
         raws = [_random_raw(rng) for _ in range(200)]
-        _, payload = FrameDecoder().feed(encode_events(3, raws))[0]
+        _, payload = FrameDecoder().feed(encode_events(3, pack_records(raws)))[0]
         assert decode_events(payload, validate=True) == (3, raws)
 
     def test_validate_rejects_implausible_record(self):
         raws = [(1, int(OperationKind.READ), 0, i, 10, 0, None) for i in range(5)]
-        _, payload = FrameDecoder().feed(encode_events(40, raws))[0]
+        _, payload = FrameDecoder().feed(encode_events(40, pack_records(raws)))[0]
         blob = bytearray(payload)
         # Trash the middle record in place.
         offset = 12 + 2 * RECORD_SIZE

@@ -14,6 +14,8 @@ from repro.events.spill import RECORD_SIZE, pack_record, unpack_records
 from repro.service import ProfilingDaemon, RemoteChannel
 from repro.service.shm import HEADER_SIZE, MAGIC, ShmRing
 
+from .conftest import post_raws
+
 
 def _records(start: int, count: int) -> bytes:
     return b"".join(
@@ -130,17 +132,13 @@ class TestAttachValidation:
 
 
 def _capture(channel, count: int, start: int = 0) -> None:
-    produce = channel.producer()
-    for i in range(count):
-        produce((0, 1, 0, (start + i) % 97, 100, 0, None))
+    post_raws(channel, ((0, 1, 0, (start + i) % 97, 100, 0, None) for i in range(count)))
 
 
 class TestShmTransport:
     def test_end_to_end_capture(self):
         with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-            channel = RemoteChannel(
-                daemon.address, transport="shm", batch_size=64
-            )
+            channel = RemoteChannel(daemon.address, transport="shm")
             assert channel._ring is not None  # daemon accepted the offer
             ring_name = channel._ring.name
             _capture(channel, 5000)
@@ -157,7 +155,6 @@ class TestShmTransport:
                 daemon.address,
                 transport="shm",
                 ring_records=64,
-                batch_size=32,
                 flush_interval=0.001,
             )
             _capture(channel, 5000)
@@ -172,7 +169,7 @@ class TestShmTransport:
         state = tmp_path / "state"
         daemon = ProfilingDaemon(port=0, session_linger=5.0, state_dir=state)
         host, port = daemon.address.split(":")
-        channel = RemoteChannel(daemon.address, transport="shm", batch_size=64)
+        channel = RemoteChannel(daemon.address, transport="shm")
         first_ring = channel._ring.name
         try:
             _capture(channel, 2000)
@@ -207,7 +204,7 @@ class TestShmTransport:
             lambda self, session, offer: False,
         )
         with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-            channel = RemoteChannel(daemon.address, transport="shm", batch_size=64)
+            channel = RemoteChannel(daemon.address, transport="shm")
             assert channel._ring is None  # declined: ring unlinked
             _capture(channel, 1000)
             channel.drain()
@@ -216,7 +213,7 @@ class TestShmTransport:
 
     def test_fork_child_detaches_without_unlinking(self):
         with ProfilingDaemon(port=0, session_linger=0.1) as daemon:
-            channel = RemoteChannel(daemon.address, transport="shm", batch_size=64)
+            channel = RemoteChannel(daemon.address, transport="shm")
             _capture(channel, 100)
             ring = channel._ring
             assert ring is not None

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.events.spill import RECORD_SIZE
+from repro.events.spill import RECORD_SIZE, pack_records
 from repro.service import ProfilingDaemon, ProtocolError, ServiceClient
 from repro.service.protocol import (
     _EVENTS_HEADER,
@@ -126,7 +126,8 @@ class TestTraceGenerator:
             assert size >= 0 and tid >= 0
             assert wall is None
         # Wire-shaped means encodable: the protocol must round-trip it.
-        start, raws = decode_events(encode_events(0, trace.events[:50])[5:])
+        frame = encode_events(0, pack_records(trace.events[:50]))
+        start, raws = decode_events(frame[5:])
         assert start == 0
         assert len(raws) == 50
 
@@ -230,7 +231,7 @@ class TestFaultProxy:
     def test_corrupt_payload_helper_is_detectable(self):
         from repro.testing.faults import _corrupt_events_payload
 
-        payload = encode_events(7, _raws(5))[5:]  # strip frame header
+        payload = encode_events(7, pack_records(_raws(5)))[5:]  # strip frame header
         corrupted = _corrupt_events_payload(payload)
         assert corrupted != payload
         with pytest.raises(ProtocolError, match="implausible"):
@@ -243,7 +244,7 @@ class TestFaultProxy:
     def test_swap_halves_creates_a_gap(self):
         from repro.testing.faults import _swap_halves
 
-        payload = encode_events(10, _raws(6))[5:]
+        payload = encode_events(10, pack_records(_raws(6)))[5:]
         wire = _swap_halves(payload)
         decoder = FrameDecoder()
         frames = list(decoder.feed(wire))
