@@ -52,12 +52,13 @@ was measured on at least :data:`FLEET_FLOOR_MIN_CORES` cores — a
 runner enforces for real.
 
 With ``--whatif`` (schema 7) the document carries a ``whatif`` section:
-the causal profiler's measured-vs-predicted differential on all 7
+the causal profiler's simulated-vs-predicted differential on all 7
 Table V workloads (:func:`repro.eval.run_whatif_validation` — the
 top-ranked recommendation per workload is *executed* on a thread pool
-and its accounted schedule compared to the analytic prediction).  The
-derived ``whatif_within_band`` metric is the fraction of workloads
-whose measured speedup landed inside the committed tolerance band, and
+and its schedule accounted on the ``SimulatedMachine`` model, then
+compared to the analytic prediction; the JSON key stays ``measured``).
+The derived ``whatif_within_band`` metric is the fraction of workloads
+whose simulated speedup landed inside the committed tolerance band, and
 its embedded hard floor of 1.0 is enforced under the same ≥4-core rule
 as the fleet floor (``--whatif-only`` skips the overhead suite for a
 fast accuracy-gate run).
@@ -488,11 +489,11 @@ def format_fleet_curve(doc: dict) -> str:
 
 
 def run_whatif_benchmark(cores: int = 8, scale: float = 1.0) -> dict:
-    """The measured-vs-predicted differential as a bench section.
+    """The simulated-vs-predicted differential as a bench section.
 
     Deterministic given (cores, scale): the prediction is analytic and
-    the measured side accounts the real executed chunk schedule on the
-    machine model, so the numbers are reproducible anywhere — only the
+    the simulated side (JSON key ``measured``) accounts the real
+    executed chunk schedule on the :class:`SimulatedMachine` model, so the numbers are reproducible anywhere — only the
     *enforcement* of the floor is core-gated (the real thread execution
     underneath needs actual cores to be a meaningful rehearsal).
     """
@@ -522,7 +523,7 @@ def run_whatif_benchmark(cores: int = 8, scale: float = 1.0) -> dict:
 
 
 def whatif_derived(section: dict) -> dict:
-    """``whatif_within_band``: the fraction of workloads whose measured
+    """``whatif_within_band``: the fraction of workloads whose simulated
     speedup landed inside the tolerance band (floor: 1.0 = all)."""
     rows = section.get("rows", [])
     if not rows:
@@ -536,14 +537,14 @@ def format_whatif_accuracy(doc: dict) -> str:
     (``benchmarks/results/whatif_accuracy.txt``)."""
     section = doc["whatif"]
     lines = [
-        "What-if prediction accuracy: measured vs predicted speedup",
+        "What-if prediction accuracy: simulated (SimulatedMachine) vs predicted speedup",
         f"schema {doc.get('schema', '?')} | python {doc.get('python', '?')} | "
         f"cpu_count {section['cpu_count']} | "
         f"model cores {section['model_cores']} | "
         f"tolerance ±{section['tolerance']:.0%}",
         "",
         f"{'workload':<18} {'top use case':<24} {'predicted':>9}  "
-        f"{'measured':>9}  {'error':>7}  {'band':>5}",
+        f"{'simulated':>9}  {'error':>7}  {'band':>5}",
     ]
     for row in section["rows"]:
         note = f"  ({row['note']})" if row["note"] else ""
@@ -560,7 +561,7 @@ def format_whatif_accuracy(doc: dict) -> str:
         lines.append(
             f"floor whatif_within_band >= {floor} NOT ENFORCED: measured on "
             f"{cores} core(s) (needs >= {FLEET_FLOOR_MIN_CORES}); the thread "
-            "pool under the measured side is not a meaningful rehearsal here."
+            "pool under the simulated side is not a meaningful rehearsal here."
         )
     else:
         lines.append(

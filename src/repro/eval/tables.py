@@ -115,7 +115,7 @@ def render_table4(summary: EvaluationSummary) -> str:
         "Table IV — Evaluation of DSspy",
         _rule(96),
         f"{'Name':<17}{'Slowdown':>9}{'DS':>5}{'UC':>4}{'TP':>4}"
-        f"{'Reduction':>11}{'Speedup':>9}{'paper-UC':>9}{'paper-TP':>9}"
+        f"{'Reduction':>11}{'sim-Spd':>9}{'paper-UC':>9}{'paper-TP':>9}"
         f"{'paper-Spd':>10}",
         _rule(96),
     ]

@@ -130,46 +130,65 @@ class _RunBuilder:
         return run
 
 
+class Segmenter:
+    """Run building over one instance's events, one event at a time.
+
+    This is the single run-building step of the analysis: :func:`segment`
+    drives it over a batch profile, and
+    :class:`~repro.usecases.features.ProfileFold` drives it as part of
+    its per-event fold.  ``op`` is an :class:`OperationKind` code.
+    """
+
+    __slots__ = ("max_gap", "builders", "completed")
+
+    def __init__(self, max_gap: int = 1) -> None:
+        self.max_gap = max_gap
+        self.builders: dict[int, _RunBuilder] = {}
+        self.completed: list[Run] = []
+
+    def feed(
+        self, index: int, op: int, position: int | None, size: int, thread_id: int
+    ) -> None:
+        if op in _TRANSPARENT:
+            return
+        builder = self.builders.get(thread_id)
+        if builder is None:
+            builder = self.builders[thread_id] = _RunBuilder(self.max_gap)
+        if op in _BREAKERS or position is None:
+            finished = builder.flush()
+            if finished is not None:
+                self.completed.append(finished)
+            return
+        category = _RUN_OPS.get(op)
+        if category is None:
+            return
+        # AccessEvent.targets_back: an empty structure has no back.
+        targets_back = size != 0 and position >= size - 1
+        finished = builder.feed(index, category, position, size, targets_back, thread_id)
+        if finished is not None:
+            self.completed.append(finished)
+
+    def runs(self) -> list[Run]:
+        """Completed and in-flight runs in ``start`` order.
+
+        In-flight runs are read, not flushed, so feeding can go on
+        after a snapshot.
+        """
+        runs = list(self.completed)
+        runs.extend(b.run for b in self.builders.values() if b.run is not None)
+        runs.sort(key=lambda r: r.start)
+        return runs
+
+
 def segment(profile: RuntimeProfile, max_gap: int = 1) -> list[Run]:
     """Split ``profile`` into maximal consistent runs.
 
-    Runs are returned in order of completion; each covers events of a
+    Runs are returned in ``start`` order; each covers events of a
     single thread.  Single-event runs are included -- the detector
     filters by minimum length.
     """
-    builders: dict[int, _RunBuilder] = {}
-    out: list[Run] = []
-
-    for index, event in enumerate(profile):
-        op = event.op
-        if op in _TRANSPARENT:
-            continue
-        builder = builders.get(event.thread_id)
-        if builder is None:
-            builder = builders[event.thread_id] = _RunBuilder(max_gap)
-        if op in _BREAKERS or event.position is None:
-            finished = builder.flush()
-            if finished is not None:
-                out.append(finished)
-            continue
-        category = _RUN_OPS.get(op)
-        if category is None:
-            continue
-        finished = builder.feed(
-            index,
-            category,
-            event.position,
-            event.size,
-            event.targets_back,
-            event.thread_id,
-        )
-        if finished is not None:
-            out.append(finished)
-
-    for builder in builders.values():
-        finished = builder.flush()
-        if finished is not None:
-            out.append(finished)
-
-    out.sort(key=lambda r: r.start)
-    return out
+    segmenter = Segmenter(max_gap)
+    feed = segmenter.feed
+    for index, event in enumerate(profile.events):
+        feed(index, event.op, event.position, event.size, event.thread_id)
+    return segmenter.runs()

@@ -435,8 +435,6 @@ class ProfilingDaemon:
                     session = self._hello(conn, payload)
                     if session is None:
                         break  # shedding load: RETRY_AFTER already sent
-                    with self._conns_lock:
-                        self._conn_sessions[key] = session.session_id
                 elif mtype == MessageType.STATS:
                     conn.sendall(encode_json(MessageType.ACK, self.stats()))
                 elif mtype == MessageType.SNAPSHOT:
@@ -662,6 +660,10 @@ class ProfilingDaemon:
         # always stopped and drained before the cursor is ACKed.
         offer = parse_shm_offer(obj) if "shm" in features else None
         shm_ok = self._attach_shm(session, offer)
+        # Map the connection before the ACK leaves: once the client
+        # holds its ACK, a reap must find this connection to shut down.
+        with self._conns_lock:
+            self._conn_sessions[id(conn)] = session_id
         conn.sendall(
             encode_json(
                 MessageType.ACK,

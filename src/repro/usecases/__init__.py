@@ -5,7 +5,7 @@ each yielding a recommendation with its supporting evidence.
 """
 
 from .engine import UseCaseEngine, UseCaseReport, evaluate_rules
-from .features import ProfileFeatures, end_purity, features_of
+from .features import ProfileFeatures, ProfileFold, end_purity, features_of
 from .explain import (
     Criterion,
     RuleExplanation,
@@ -52,6 +52,7 @@ __all__ = [
     "PAPER_THRESHOLDS",
     "PARALLEL_RULES",
     "ProfileFeatures",
+    "ProfileFold",
     "Recommendation",
     "Rule",
     "SEQUENTIAL_RULES",

@@ -15,7 +15,8 @@ from ..events.collector import EventCollector
 from ..events.profile import RuntimeProfile
 from ..events.sampling import SamplingPolicy
 from ..patterns.detector import DetectorConfig, PatternDetector
-from .features import ProfileFeatures, features_of
+from ..patterns.model import PatternAnalysis
+from .features import ProfileFeatures, ProfileFold
 from .model import UseCase, UseCaseKind
 from .rules import ALL_RULES, Evidence, Rule
 from .thresholds import PAPER_THRESHOLDS, Thresholds
@@ -47,6 +48,40 @@ def evaluate_rules(
             (rule, ev) for rule, ev in fired if rule.kind is not UseCaseKind.LONG_INSERT
         ]
     return fired
+
+
+def fold_use_cases(
+    fold: ProfileFold,
+    config: DetectorConfig,
+    thresholds: Thresholds,
+    rules: tuple[Rule, ...],
+    profile: RuntimeProfile | None = None,
+) -> list[UseCase]:
+    """The use cases of one folded instance.
+
+    ``profile`` is the instance's batch profile.  Without one (the
+    streaming engine keeps no events) the use cases carry an event-less
+    skeleton profile with the fold's identity.
+    """
+    features = fold.features(fold.patterns(config))
+    fired = evaluate_rules(features, thresholds, rules)
+    if not fired:
+        return []
+    if profile is None:
+        profile = RuntimeProfile(
+            fold.instance_id, kind=fold.kind, site=fold.site, label=fold.label
+        )
+    analysis = PatternAnalysis(profile=profile, patterns=features.patterns)
+    return [
+        UseCase(
+            kind=rule.kind,
+            profile=profile,
+            analysis=analysis,
+            recommendation=rule.recommend(evidence),
+            evidence=evidence,
+        )
+        for rule, evidence in fired
+    ]
 
 
 @dataclass(frozen=True)
@@ -127,26 +162,10 @@ class UseCaseEngine:
     rules: tuple[Rule, ...] = ALL_RULES
 
     def analyze_profile(self, profile: RuntimeProfile) -> list[UseCase]:
-        """Apply every rule to one profile.
-
-        Categories are exclusive where one subsumes another:
-        Sort-After-Insert implies a long insertion phase, so when SAI
-        fires, the plain Long-Insert diagnosis is suppressed (its
-        recommendation — parallelize the insert — is contained in
-        SAI's).
-        """
-        analysis = self.detector.detect(profile)
-        features = features_of(analysis)
-        return [
-            UseCase(
-                kind=rule.kind,
-                profile=profile,
-                analysis=analysis,
-                recommendation=rule.recommend(evidence),
-                evidence=evidence,
-            )
-            for rule, evidence in evaluate_rules(features, self.thresholds, self.rules)
-        ]
+        """Fold one profile and apply every rule to its features."""
+        config = self.detector.config
+        fold = ProfileFold.of_profile(profile, config.max_gap)
+        return fold_use_cases(fold, config, self.thresholds, self.rules, profile)
 
     def analyze(self, profiles: list[RuntimeProfile]) -> UseCaseReport:
         """Analyze a batch of profiles into a report.

@@ -7,11 +7,9 @@ recommendation would pay on k cores (TASKPROF-style causal profiling
 over the recorded event stream), so reports rank by expected payoff."""
 
 from .dag import (
-    CriticalPathFold,
     LaneSummary,
     WorkSpan,
     fold_profile,
-    fold_raw_events,
     longest_path_span,
     potential_speedup,
 )
@@ -28,14 +26,12 @@ from .predict import (
 from .report import format_whatif_table
 
 __all__ = [
-    "CriticalPathFold",
     "LaneSummary",
     "Prediction",
     "WorkSpan",
     "annotate_report",
     "end_to_end_speedup",
     "fold_profile",
-    "fold_raw_events",
     "format_whatif_table",
     "longest_path_span",
     "potential_speedup",

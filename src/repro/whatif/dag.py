@@ -23,96 +23,22 @@ The DAG never needs to be materialized.  Because the recorded stream
 serializes conflicting accesses in arrival order, the longest path
 ending at each event depends only on three running maxima — the end of
 its thread's own lane, the end of the latest write, and the end of the
-latest read — so :class:`CriticalPathFold` computes work and span in
-O(1) time and O(threads) memory per event.  That is what lets the
-streaming engine carry a :class:`LaneSummary` per instance without
-retaining history (the bounded-memory contract), while
+latest read — so :class:`~repro.usecases.features.LaneSummary`
+computes work and span in O(1) time and O(threads) memory per event.
+It is part of the one analysis fold,
+:class:`~repro.usecases.features.ProfileFold`, so batch profiles and
+the streaming engine's bounded-memory folds carry it alike, while
 :func:`longest_path_span` keeps the O(n²)-edge textbook computation
 around as the property-test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..events.event import AccessEvent, RawEvent
 from ..events.profile import RuntimeProfile
-from ..events.types import AccessKind
-
-_READ = int(AccessKind.READ)
-
-
-@dataclass
-class LaneSummary:
-    """O(threads) happens-before state of one instance, fed one event
-    at a time.
-
-    ``lane_end[tid]`` is the end time of thread ``tid``'s latest event
-    (program order), ``last_write_end`` the end of the latest write on
-    any thread, ``max_read_end`` the latest read end.  A read must
-    follow its lane and every earlier write; a write must additionally
-    follow every earlier read.  Each event costs one unit.
-    """
-
-    lane_end: dict[int, float] = field(default_factory=dict)
-    last_write_end: float = 0.0
-    max_read_end: float = 0.0
-    work: int = 0
-
-    def feed(self, thread_id: int, is_read: bool) -> None:
-        start = self.lane_end.get(thread_id, 0.0)
-        if self.last_write_end > start:
-            start = self.last_write_end
-        if is_read:
-            end = start + 1.0
-            if end > self.max_read_end:
-                self.max_read_end = end
-        else:
-            if self.max_read_end > start:
-                start = self.max_read_end
-            end = start + 1.0
-            self.last_write_end = end
-        self.lane_end[thread_id] = end
-        self.work += 1
-
-    @property
-    def span(self) -> float:
-        """Critical-path length: the latest end over all lanes."""
-        return max(self.lane_end.values(), default=0.0)
-
-    @property
-    def parallelism(self) -> float:
-        """Inherent parallelism ``work / span`` (1.0 when empty)."""
-        span = self.span
-        return self.work / span if span > 0 else 1.0
-
-    @property
-    def thread_count(self) -> int:
-        return len(self.lane_end)
-
-    # -- serialization (checkpoint / SNAPSHOT payloads) ------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lane_end": {str(tid): end for tid, end in self.lane_end.items()},
-            "last_write_end": self.last_write_end,
-            "max_read_end": self.max_read_end,
-            "work": self.work,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any] | None) -> "LaneSummary":
-        """Rebuild from a serialized dict; ``None`` (a checkpoint
-        written before lane summaries existed) yields an empty summary."""
-        if not obj:
-            return cls()
-        return cls(
-            lane_end={int(tid): float(end) for tid, end in obj["lane_end"].items()},
-            last_write_end=float(obj["last_write_end"]),
-            max_read_end=float(obj["max_read_end"]),
-            work=int(obj["work"]),
-        )
+from ..usecases.features import LaneSummary, ProfileFold
 
 
 @dataclass(frozen=True)
@@ -128,6 +54,10 @@ class WorkSpan:
 
     def speedup_on(self, cores: int) -> float:
         return potential_speedup(self.work, self.span, cores)
+
+    @classmethod
+    def of(cls, lanes: LaneSummary) -> "WorkSpan":
+        return cls(work=float(lanes.work), span=lanes.span)
 
 
 def potential_speedup(work: float, span: float, cores: int) -> float:
@@ -145,43 +75,9 @@ def potential_speedup(work: float, span: float, cores: int) -> float:
     return work / max(span, work / cores)
 
 
-class CriticalPathFold:
-    """Incremental work/span over one instance's event stream."""
-
-    def __init__(self) -> None:
-        self.lanes = LaneSummary()
-
-    def feed(self, thread_id: int, is_read: bool) -> None:
-        self.lanes.feed(thread_id, is_read)
-
-    def feed_event(self, event: AccessEvent) -> None:
-        self.feed(event.thread_id, event.is_read)
-
-    def feed_raw(self, raw: RawEvent) -> None:
-        # (instance_id, op, kind, position, size, thread_id, wall_time)
-        self.feed(raw[5], raw[2] == _READ)
-
-    def result(self) -> WorkSpan:
-        return WorkSpan(work=float(self.lanes.work), span=self.lanes.span)
-
-
 def fold_profile(profile: RuntimeProfile) -> WorkSpan:
     """Work/span of one batch profile's full event history."""
-    fold = CriticalPathFold()
-    for event in profile.events:
-        fold.feed_event(event)
-    return fold.result()
-
-
-def fold_raw_events(raws: Iterable[RawEvent]) -> dict[int, WorkSpan]:
-    """Per-instance work/span over a raw event stream (spill replay)."""
-    folds: dict[int, CriticalPathFold] = {}
-    for raw in raws:
-        fold = folds.get(raw[0])
-        if fold is None:
-            fold = folds[raw[0]] = CriticalPathFold()
-        fold.feed_raw(raw)
-    return {iid: fold.result() for iid, fold in folds.items()}
+    return WorkSpan.of(ProfileFold.of_profile(profile).lanes)
 
 
 def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:
@@ -192,7 +88,8 @@ def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:
     Edges: program order within a thread; write→anything and
     anything→write across threads (conflicting accesses serialize in
     recorded order).  O(n²) — the property-test oracle for
-    :class:`CriticalPathFold`, never the production path.
+    :class:`~repro.usecases.features.LaneSummary`, never the production
+    path.
     """
     n = len(events)
     predecessors: list[list[int]] = [[] for _ in range(n)]
@@ -215,11 +112,9 @@ def longest_path_span(events: Sequence[tuple[int, bool]]) -> float:
 
 
 __all__ = [
-    "CriticalPathFold",
     "LaneSummary",
     "WorkSpan",
     "fold_profile",
-    "fold_raw_events",
     "longest_path_span",
     "potential_speedup",
 ]

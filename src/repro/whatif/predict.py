@@ -132,12 +132,11 @@ def workspans_from_profiles(
 def workspans_from_engine(engine) -> dict[int, WorkSpan]:
     """Per-instance work/span from a streaming engine's lane summaries
     (live SNAPSHOT path — no event history needed)."""
-    out: dict[int, WorkSpan] = {}
-    for instance_id, fold in engine._folds.items():
-        lanes = fold.lanes
-        if lanes.work > 0:
-            out[instance_id] = WorkSpan(work=float(lanes.work), span=lanes.span)
-    return out
+    return {
+        instance_id: WorkSpan.of(fold.lanes)
+        for instance_id, fold in engine._folds.items()
+        if fold.lanes.work > 0
+    }
 
 
 def annotate_report(

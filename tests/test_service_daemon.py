@@ -210,6 +210,33 @@ class TestReaper:
             )
             client.close()
 
+    def test_reap_right_after_handshake_detaches(self):
+        """The handler is held just after the HELLO ACK went out; a reap
+        in that window must still find the connection to shut down."""
+        clock = SimClock()
+        with ProfilingDaemon(port=0, heartbeat_timeout=30.0, clock=clock) as daemon:
+            acked = threading.Event()
+            release = threading.Event()
+            hello = daemon._hello
+
+            def held_hello(conn, payload):
+                session = hello(conn, payload)
+                acked.set()
+                release.wait(10.0)
+                return session
+
+            daemon._hello = held_hello
+            client = ServiceClient(daemon.address)
+            sid = client.session_id
+            assert acked.wait(5.0)
+            clock.advance(31.0)
+            daemon.reap()
+            release.set()
+            assert _wait_for(
+                lambda: daemon.sessions[sid].state == SessionState.DETACHED
+            )
+            client.close()
+
     def test_heartbeat_keeps_session_alive(self):
         clock = SimClock()
         with ProfilingDaemon(port=0, heartbeat_timeout=30.0, clock=clock) as daemon:

@@ -1,13 +1,20 @@
-"""StreamingUseCaseEngine must converge to the batch engine exactly."""
+"""StreamingUseCaseEngine must converge to the batch engine exactly,
+and both to the independent numpy reference of the features."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.events import EventCollector, collecting
+from repro.events import EventCollector, OperationKind, collecting
+from repro.patterns import PatternDetector
 from repro.service import StreamingUseCaseEngine
-from repro.usecases import UseCaseEngine
+from repro.usecases import UseCaseEngine, evaluate_rules, features_of
+from repro.usecases.features import ProfileFold
+from repro.usecases.thresholds import PAPER_THRESHOLDS
 from repro.workloads import EVALUATION_WORKLOADS, USE_CASE_GENERATORS
+
+from .conftest import make_profile
+from .features_reference import features_of as reference_features_of
 
 WINDOW = 256
 
@@ -56,6 +63,22 @@ def _signature(report):
     )
 
 
+def _assert_matches_reference(profiles, batch_report):
+    """Per profile, the fold's features equal the numpy reference's,
+    and the use cases built from the reference equal the batch report."""
+    detector = PatternDetector()
+    reference = []
+    for profile in profiles:
+        analysis = detector.detect(profile)
+        expected = reference_features_of(analysis)
+        assert features_of(analysis) == expected, profile
+        for rule, evidence in evaluate_rules(expected, PAPER_THRESHOLDS):
+            reference.append(
+                (profile.instance_id, rule.kind.abbreviation, tuple(sorted(evidence.items())))
+            )
+    assert sorted(reference) == _signature(batch_report)
+
+
 class TestTableVEquivalence:
     @pytest.mark.parametrize("workload", EVALUATION_WORKLOADS, ids=lambda w: w.name)
     def test_streaming_matches_batch(self, workload):
@@ -76,6 +99,7 @@ class TestTableVEquivalence:
         # window of events at a time.
         assert engine.peak_resident_events <= WINDOW
         assert engine.events_folded == sum(len(p) for p in collector.profiles())
+        _assert_matches_reference(collector.profiles(), batch_report)
 
 
 class TestGeneratorEquivalence:
@@ -88,6 +112,75 @@ class TestGeneratorEquivalence:
         batch_report = UseCaseEngine().analyze(collector.profiles())
         streaming_report = _stream_collector(collector, window=64).report()
         assert _signature(streaming_report) == _signature(batch_report)
+        _assert_matches_reference(collector.profiles(), batch_report)
+
+
+OP = OperationKind
+
+#: Hand-built profiles for the fold's edge conventions, as
+#: (op, position, size) triples.
+EDGE_PROFILES = {
+    # position >= size - 1 holds on an empty structure: the ends
+    # counters see a back hit, the run builder does not.
+    "size-0-positional": [(OP.INSERT, 0, 0), (OP.DELETE, 0, 0), (OP.READ, 0, 0)],
+    # The only slot of a one-element structure is front and back.
+    "one-element": [(OP.INSERT, 0, 1), (OP.READ, 0, 1), (OP.READ, 0, 1), (OP.DELETE, 0, 1)],
+    # An Init neither joins nor resets the write-without-read tail.
+    "init-in-tail": [
+        (OP.READ, 0, 3),
+        (OP.WRITE, 1, 3),
+        (OP.INIT, None, 9),
+        (OP.WRITE, 2, 3),
+        (OP.WRITE, 4, 5),
+    ],
+    # A whole-structure event ends the run of its thread.
+    "position-none-breaker": [
+        (OP.INSERT, 0, 1),
+        (OP.INSERT, 1, 2),
+        (OP.CLEAR, None, 0),
+        (OP.INSERT, 0, 1),
+        (OP.INSERT, 1, 2),
+        (OP.INSERT, 2, 3),
+    ],
+    # Only the latest sort's index is kept.
+    "several-sorts": [
+        (OP.INSERT, 0, 1),
+        (OP.INSERT, 1, 2),
+        (OP.SORT, None, 2),
+        (OP.INSERT, 2, 3),
+        (OP.SORT, None, 3),
+        (OP.READ, 0, 3),
+        (OP.SORT, None, 3),
+    ],
+}
+
+
+class TestFoldEdgeCases:
+    @pytest.mark.parametrize("specs", EDGE_PROFILES.values(), ids=EDGE_PROFILES.keys())
+    def test_fold_matches_reference(self, specs):
+        profile = make_profile(specs)
+        analysis = PatternDetector().detect(profile)
+        fold = ProfileFold.of_profile(profile)
+        assert fold.patterns(PatternDetector().config) == analysis.patterns
+        assert fold.features(analysis.patterns) == reference_features_of(analysis)
+
+    def test_edge_values(self):
+        def features(name):
+            analysis = PatternDetector().detect(make_profile(EDGE_PROFILES[name]))
+            return features_of(analysis)
+
+        empty = features("size-0-positional")
+        assert (empty.insert_back, empty.delete_back, empty.read_back) == (1, 1, 1)
+        one = features("one-element")
+        assert (one.read_front, one.read_back, one.end_events) == (2, 2, 4)
+        tail = features("init-in-tail")
+        assert tail.trailing_writes == 3
+        assert tail.trailing_ops == frozenset({OP.WRITE})
+        assert tail.trailing_max_size == 5
+        sorts = features("several-sorts")
+        assert (sorts.sort_count, sorts.last_sort_index) == (3, 6)
+        breaker = PatternDetector().detect(make_profile(EDGE_PROFILES["position-none-breaker"]))
+        assert [p.length for p in breaker.patterns] == [2, 3]
 
 
 class TestStreamingBehavior:

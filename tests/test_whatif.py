@@ -13,14 +13,14 @@ from repro.eval.speedup_eval import (
 )
 from repro.parallel.machine import MachineConfig, SimulatedMachine
 from repro.parallel.transforms import execute_transform, transform_ways
+from repro.service import StreamingUseCaseEngine
 from repro.testing.traces import generate_trace
 from repro.whatif import (
-    CriticalPathFold,
     LaneSummary,
     WorkSpan,
-    fold_raw_events,
     longest_path_span,
     potential_speedup,
+    workspans_from_engine,
 )
 
 _READ_KIND = 0  # AccessKind.READ == 0 is asserted below; traces use ints
@@ -28,10 +28,10 @@ _READ_KIND = 0  # AccessKind.READ == 0 is asserted below; traces use ints
 
 def _span_by_fold(events):
     """events: [(tid, is_read)] -> span via the incremental fold."""
-    fold = CriticalPathFold()
+    lanes = LaneSummary()
     for tid, is_read in events:
-        fold.feed(tid, is_read)
-    return fold.result()
+        lanes.feed(tid, is_read)
+    return WorkSpan.of(lanes)
 
 
 class TestFoldVsBruteForce:
@@ -48,7 +48,11 @@ class TestFoldVsBruteForce:
         trace = generate_trace(
             seed, max_instances=4, max_segments=5, max_segment_events=40
         )
-        workspans = fold_raw_events(trace.events)
+        engine = StreamingUseCaseEngine()
+        for inst in trace.instances:
+            engine.register_instance(inst.instance_id, inst.kind)
+        engine.feed_window(trace.events)
+        workspans = workspans_from_engine(engine)
         checked = 0
         for inst in trace.instances:
             raws = trace.events_of(inst.instance_id)
@@ -103,7 +107,7 @@ class TestDegenerateLaws:
         assert potential_speedup(ws.work, ws.span, 8) == 1.0
 
     def test_empty_stream(self):
-        ws = CriticalPathFold().result()
+        ws = WorkSpan.of(LaneSummary())
         assert ws.work == 0.0 and ws.span == 0.0
         assert potential_speedup(ws.work, ws.span, 8) == 1.0
 
