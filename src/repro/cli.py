@@ -66,21 +66,35 @@ def _rank_with_predictions(report, profiles, cores: int = 8):
     """Annotate every use case with its what-if predicted speedup and
     order the report by expected payoff (ties keep threshold order)."""
     from .parallel.machine import MachineConfig, SimulatedMachine
-    from .whatif import annotate_report, rank_report, workspans_from_profiles
+    from .whatif import annotate_report, rank_report, workspans_of_flagged
 
     machine = SimulatedMachine(MachineConfig(cores=cores))
-    spans = workspans_from_profiles(profiles)
+    spans = workspans_of_flagged(report, profiles)
     return rank_report(annotate_report(report, machine, spans))
 
 
+def _load_archive(path: str):
+    """The profiles of a JSON-lines archive, or ``None`` once the reason
+    it cannot be read is reported on stderr."""
+    from .events import read_profiles
+
+    try:
+        return read_profiles(path)
+    except (OSError, ValueError) as exc:
+        print(f"{path}: not a profile archive: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .events import Channel, parse_sampling, read_profiles, save_profiles
+    from .events import Channel, parse_sampling, save_profiles
     from .instrument import RewriteConfig, run_instrumented_file
     from .usecases import UseCaseEngine, format_summary, format_table_v
     from .viz import render_profile
 
     if args.load:
-        profiles = read_profiles(args.load)
+        profiles = _load_archive(args.load)
+        if profiles is None:
+            return 2
         print(f"{args.load}: {len(profiles)} archived profiles loaded")
         report = _rank_with_predictions(
             UseCaseEngine().analyze(profiles), profiles
@@ -225,7 +239,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         format_whatif_table,
         rank_report,
         workspans_from_engine,
-        workspans_from_profiles,
+        workspans_of_flagged,
     )
 
     machine = SimulatedMachine(MachineConfig(cores=args.cores))
@@ -282,34 +296,20 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     from .events.spill import MAGIC
 
     if head == MAGIC:
-        # Binary spill: raw tuples with no registrations, so profiles
-        # are rebuilt with a default structure kind (list).
-        from .events.profile import RuntimeProfile
-        from .events.spill import iter_spill_events
-        from .events.types import StructureKind
+        # Binary spill: no registrations, so every profile is a list.
+        from .events.profile import read_spill_profiles
 
-        profiles_by_id: dict[int, object] = {}
-        for event in iter_spill_events(path):
-            profile = profiles_by_id.get(event.instance_id)
-            if profile is None:
-                profile = profiles_by_id[event.instance_id] = RuntimeProfile(
-                    event.instance_id, kind=StructureKind.LIST
-                )
-            profile.append(event)
-        profiles = [profiles_by_id[iid] for iid in sorted(profiles_by_id)]
+        profiles = read_spill_profiles(path)
     else:
         from .events import read_profiles
 
         try:
             profiles = read_profiles(path)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             print(f"{path}: not a spill file or profile archive: {exc}", file=sys.stderr)
             return 2
-    emit(
-        UseCaseEngine().analyze(profiles),
-        workspans_from_profiles(profiles),
-        f"What-if predictions for {path}",
-    )
+    report = UseCaseEngine().analyze(profiles)
+    emit(report, workspans_of_flagged(report, profiles), f"What-if predictions for {path}")
     return 0
 
 
@@ -412,14 +412,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .events import read_profiles
     from .patterns import compare_reports
     from .usecases import UseCaseEngine
 
-    engine = UseCaseEngine()
-    before = engine.analyze(read_profiles(args.before))
-    after = engine.analyze(read_profiles(args.after))
-    diff = compare_reports(before, after)
+    archives = [_load_archive(path) for path in (args.before, args.after)]
+    if None in archives:
+        return 2
+    diff = compare_reports(*map(UseCaseEngine().analyze, archives))
     print(diff.describe())
     if diff.fully_resolved and diff.resolved:
         print("all previously detected use cases resolved")

@@ -3,7 +3,8 @@
 For each of the seven benchmark programs: run the tracked variant,
 derive use cases with the paper's thresholds, apply every recommended
 action on the simulated 8-core machine, and measure the
-instrumentation slowdown against the plain variant.  The result rows
+instrumentation slowdown against the plain variant: tracked run,
+finish and analysis together, over the plain run.  The result rows
 carry the same columns as Table IV.
 """
 
@@ -94,16 +95,17 @@ def evaluate_workload(
             plain_seconds += time.perf_counter() - start
         plain_seconds /= repeats
 
+    # Table IV slowdown: tracked run + finish (drain and assembly, on
+    # leaving the block) + analysis, over the plain run.
     tracked_seconds = 0.0
-    session = None
     for _ in range(repeats):
         start = time.perf_counter()
         with collecting() as session:
             workload.run_tracked(scale=scale)
+        report = engine.analyze_collector(session)
         tracked_seconds += time.perf_counter() - start
     tracked_seconds /= repeats
 
-    report = engine.analyze_collector(session)
     outcomes = tuple(apply_all(list(report.use_cases), machine))
     decomposition = workload.decomposition(scale=scale)
 

@@ -218,7 +218,7 @@ def run_whatif_validation(
         end_to_end_speedup,
         predict_use_case,
         rank_report,
-        workspans_from_profiles,
+        workspans_of_flagged,
     )
     from ..workloads import EVALUATION_WORKLOADS
 
@@ -227,10 +227,9 @@ def run_whatif_validation(
     for workload in EVALUATION_WORKLOADS:
         with collecting() as session:
             workload.run_tracked(scale=scale)
-        workspans = workspans_from_profiles(session.profiles())
-        report = rank_report(
-            annotate_report(engine.analyze_collector(session), machine, workspans)
-        )
+        report = engine.analyze_collector(session)
+        workspans = workspans_of_flagged(report, session.profiles())
+        report = rank_report(annotate_report(report, machine, workspans))
         top = next((u for u in report.use_cases if u.parallel), None)
         if top is None or not top.predicted_speedup or top.predicted_speedup <= 1.0:
             rows.append(

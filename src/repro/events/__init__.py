@@ -11,7 +11,8 @@ structure instance.
 There is one record path: the kernel, optionally behind a
 :class:`SamplingPolicy` admit-filter.  The packed record layout of
 :mod:`~repro.events.spill` is the representation in memory, in spill
-files and on the wire.
+files, on the wire and inside every :class:`RuntimeProfile`;
+:class:`AccessEvent` objects are decoded from it only on demand.
 """
 
 from .channel import Channel
@@ -23,10 +24,10 @@ from .collector import (
     push_collector,
     reset_ambient,
 )
-from .event import AccessEvent, materialize
+from .event import AccessEvent
 from .fastpath import KERNEL, PyRecorder, kernel_name, make_recorder
 from .merge import merge_archives, merge_profiles
-from .profile import NO_POSITION, AllocationSite, RuntimeProfile
+from .profile import NO_POSITION, AllocationSite, RuntimeProfile, read_spill_profiles, route_records
 from .sampling import (
     RECORD_ALL,
     Burst,
@@ -45,11 +46,9 @@ from .serialize import (
 from .spill import (
     RECORD_SIZE,
     SpillWriter,
-    iter_spill_events,
-    iter_spill_raw,
+    iter_spill_records,
     pack_record,
     pack_records,
-    read_spill_events,
     read_spill_raw,
     record_is_plausible,
     unpack_record,
@@ -81,12 +80,10 @@ __all__ = [
     "dump_profiles",
     "end_of",
     "get_collector",
-    "iter_spill_events",
-    "iter_spill_raw",
+    "iter_spill_records",
     "kernel_name",
     "load_profiles",
     "make_recorder",
-    "materialize",
     "merge_archives",
     "merge_profiles",
     "pack_record",
@@ -95,10 +92,11 @@ __all__ = [
     "pop_collector",
     "push_collector",
     "read_profiles",
-    "read_spill_events",
+    "read_spill_profiles",
     "read_spill_raw",
     "record_is_plausible",
     "reset_ambient",
+    "route_records",
     "unpack_record",
     "unpack_records",
     "save_collector",

@@ -8,8 +8,9 @@ method.  ``record`` is the record kernel of
 filter -- packing each event into the calling thread's buffer of the
 collector's :class:`~repro.events.channel.Channel`.  After the workload
 finishes, :meth:`EventCollector.finish` drains the channel, stamps
-logical timestamps in arrival order, and routes each packed record into
-the :class:`~repro.events.profile.RuntimeProfile` of its instance.
+logical timestamps in arrival order, and routes the packed records, as
+they are, into the :class:`~repro.events.profile.RuntimeProfile` of
+their instance.
 
 A module-level *ambient* collector makes tracked structures usable
 without ceremony; the :func:`collecting` context manager installs a
@@ -29,11 +30,10 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from .channel import Channel
-from .event import KINDS, OPS, AccessEvent
 from .fastpath import make_recorder
-from .profile import AllocationSite, RuntimeProfile
+from .profile import AllocationSite, RuntimeProfile, route_records
 from .sampling import RecordAll, SamplingPolicy
-from .spill import _HAS_POSITION, _HAS_WALL, _RECORD, RECORD_SIZE
+from .spill import RECORD_SIZE
 from .types import StructureKind
 
 
@@ -168,26 +168,10 @@ class EventCollector:
     def _assemble(self, data: bytes | bytearray) -> None:
         """Route the records of ``data`` past those already assembled
         into their profiles, straight from the packed bytes."""
-        profiles = self._profiles
-        seq = self._assembled
-        records = _RECORD.iter_unpack(memoryview(data)[seq * RECORD_SIZE :])
-        for iid, position, size, tid, op, kind, flags, wall in records:
-            profile = profiles.get(iid)
-            if profile is not None:
-                profile.append(
-                    AccessEvent(
-                        seq,
-                        KINDS[kind],
-                        OPS[op],
-                        position if flags & _HAS_POSITION else None,
-                        size,
-                        tid,
-                        iid,
-                        wall if flags & _HAS_WALL else None,
-                    )
-                )
-            seq += 1
-        self._assembled = seq
+        start = self._assembled
+        block = memoryview(data)[start * RECORD_SIZE :]
+        route_records(block, self._profiles, first_seq=start)
+        self._assembled = start + len(block) // RECORD_SIZE
 
     def assemble(self) -> dict[int, RuntimeProfile]:
         """Materialize newly recorded events without closing the channel.

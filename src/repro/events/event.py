@@ -93,15 +93,7 @@ class AccessEvent:
 RawEvent = tuple  # (instance_id, op_value, kind_value, position, size, thread_id, wall_time)
 
 #: Enum members indexed by value: a tuple subscript instead of an
-#: ``Enum.__call__`` per field when events are materialized in bulk.
+#: ``Enum.__call__`` per field when a profile decodes its records.
 OPS = tuple(OperationKind)
 KINDS = tuple(AccessKind)
 
-
-def materialize(seq: int, raw: RawEvent) -> AccessEvent:
-    """Convert a raw on-the-wire tuple into an :class:`AccessEvent`."""
-    instance_id, op_value, kind_value, position, size, thread_id, wall_time = raw
-    return AccessEvent(
-        seq, KINDS[kind_value], OPS[op_value], position, size, thread_id,
-        instance_id, wall_time,
-    )

@@ -12,9 +12,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .event import AccessEvent
+import numpy as np
+
 from .profile import RuntimeProfile
 from .serialize import read_profiles
+from .spill import RECORD_DTYPE
 
 
 def merge_profiles(
@@ -34,26 +36,18 @@ def merge_profiles(
     for group in groups:
         max_thread = -1
         for profile in group:
+            records = np.frombuffer(profile.records, RECORD_DTYPE).copy()
+            if len(records):
+                max_thread = max(max_thread, int(records["thread_id"].max()))
+            records["instance_id"] = next_instance
+            records["thread_id"] += thread_offset
             renumbered = RuntimeProfile(
                 next_instance,
                 kind=profile.kind,
                 site=profile.site,
                 label=profile.label,
             )
-            for event in profile:
-                max_thread = max(max_thread, event.thread_id)
-                renumbered.append(
-                    AccessEvent(
-                        seq=event.seq,
-                        kind=event.kind,
-                        op=event.op,
-                        position=event.position,
-                        size=event.size,
-                        thread_id=event.thread_id + thread_offset,
-                        instance_id=next_instance,
-                        wall_time=event.wall_time,
-                    )
-                )
+            renumbered.add_records(records, profile.seqs)
             merged.append(renumbered)
             next_instance += 1
         thread_offset += max_thread + 1

@@ -6,22 +6,38 @@ Profiles are the unit of all downstream analysis: pattern detection,
 use-case derivation and visualization all consume a
 :class:`RuntimeProfile`.
 
-Use-case analysis folds the events one at a time
-(:class:`~repro.usecases.features.ProfileFold`).  For statistics and
-plots the profile also exposes parallel numpy arrays (sequence numbers,
-op codes, kinds, positions, sizes, thread ids), built lazily and
-cached.
+A profile stores its events as the record kernel packed them (the
+layout of :mod:`~repro.events.spill`) plus each one's collector-wide
+logical timestamp.  Analysis folds the records straight from those
+bytes; the numpy views (seqs, op codes, kinds, positions, sizes, thread
+ids) are read with one structured dtype, and
+:class:`~repro.events.event.AccessEvent` objects are decoded only when a
+caller iterates or indexes the profile.  Both are built lazily and
+cached.  Every path from packed records to profiles goes through
+:meth:`RuntimeProfile.add_records`, mixed-instance streams through
+:func:`route_records`.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .event import AccessEvent
+from .event import KINDS, OPS, AccessEvent
+from .spill import (
+    _HAS_POSITION,
+    _HAS_WALL,
+    _RECORD,
+    RECORD_DTYPE,
+    RECORD_SIZE,
+    iter_spill_records,
+    pack_records,
+)
 from .types import AccessKind, OperationKind, StructureKind
 
 #: Sentinel stored in the positions array for whole-structure events.
@@ -86,14 +102,7 @@ class RuntimeProfile:
         Optional human-readable name (variable name or workload role).
     """
 
-    __slots__ = (
-        "instance_id",
-        "kind",
-        "site",
-        "label",
-        "_events",
-        "_arrays",
-    )
+    __slots__ = ("instance_id", "kind", "site", "label", "_records", "_seqs", "_events", "_arrays")
 
     def __init__(
         self,
@@ -106,19 +115,37 @@ class RuntimeProfile:
         self.kind = kind
         self.site = site
         self.label = label
-        self._events: list[AccessEvent] = []
+        self._records = bytearray()
+        self._seqs = array("q")
+        self._events: list[AccessEvent] | None = None
         self._arrays: dict[str, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------
 
-    def append(self, event: AccessEvent) -> None:
-        """Add an event; events must arrive in non-decreasing ``seq``."""
-        self._events.append(event)
+    def add_records(self, records, seqs) -> None:
+        """Add packed records (the spill layout, any buffer) and their
+        logical timestamps; records must arrive in non-decreasing
+        ``seq``."""
+        seqs = np.asarray(seqs, dtype=np.int64)
+        records = memoryview(records).cast("B")
+        if len(records) != RECORD_SIZE * len(seqs):
+            raise ValueError(f"{len(records)} bytes of records for {len(seqs)} timestamps")
+        self._records += records
+        self._seqs.frombytes(seqs.tobytes())
+        self._events = None
         self._arrays = None
 
+    def append(self, event: AccessEvent) -> None:
+        """Add an event; events must arrive in non-decreasing ``seq``."""
+        self.extend((event,))
+
     def extend(self, events: Iterable[AccessEvent]) -> None:
-        self._events.extend(events)
-        self._arrays = None
+        events = list(events)
+        raws = [
+            (e.instance_id, e.op, e.kind, e.position, e.size, e.thread_id, e.wall_time)
+            for e in events
+        ]
+        self.add_records(pack_records(raws), [e.seq for e in events])
 
     @classmethod
     def from_events(
@@ -137,55 +164,58 @@ class RuntimeProfile:
     # -- sequence protocol --------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._seqs)
 
     def __iter__(self) -> Iterator[AccessEvent]:
-        return iter(self._events)
+        return iter(self.events)
 
     def __getitem__(self, index):
-        return self._events[index]
+        return self.events[index]
 
     def __repr__(self) -> str:
         where = f" @ {self.site}" if self.site else ""
         return (
             f"RuntimeProfile(#{self.instance_id} {self.kind.value}, "
-            f"{len(self._events)} events{where})"
+            f"{len(self)} events{where})"
         )
 
     @property
+    def records(self) -> bytes:
+        """The events as packed records (a copy), in profile order."""
+        return bytes(self._records)
+
+    @property
     def events(self) -> Sequence[AccessEvent]:
+        """The events as :class:`AccessEvent` objects, decoded on first use."""
+        if self._events is None:
+            self._events = [
+                AccessEvent(
+                    seq, KINDS[kind], OPS[op], pos if flags & _HAS_POSITION else None,
+                    size, tid, iid, wall if flags & _HAS_WALL else None,
+                )
+                for seq, (iid, pos, size, tid, op, kind, flags, wall)
+                in zip(self._seqs, _RECORD.iter_unpack(self._records))
+            ]
         return self._events
 
     # -- vectorized views ----------------------------------------------
 
-    def _build_arrays(self) -> dict[str, np.ndarray]:
-        n = len(self._events)
-        seqs = np.empty(n, dtype=np.int64)
-        ops = np.empty(n, dtype=np.int8)
-        kinds = np.empty(n, dtype=np.int8)
-        positions = np.empty(n, dtype=np.int64)
-        sizes = np.empty(n, dtype=np.int64)
-        threads = np.empty(n, dtype=np.int64)
-        for i, ev in enumerate(self._events):
-            seqs[i] = ev.seq
-            ops[i] = ev.op
-            kinds[i] = ev.kind
-            positions[i] = NO_POSITION if ev.position is None else ev.position
-            sizes[i] = ev.size
-            threads[i] = ev.thread_id
-        return {
-            "seq": seqs,
-            "op": ops,
-            "kind": kinds,
-            "position": positions,
-            "size": sizes,
-            "thread": threads,
-        }
-
     def _array(self, name: str) -> np.ndarray:
-        if self._arrays is None:
-            self._arrays = self._build_arrays()
-        return self._arrays[name]
+        arrays = self._arrays
+        if arrays is None:
+            # Every array is a copy: a view would pin ``_records``, and
+            # a bytearray exporting its buffer cannot grow.
+            records = np.frombuffer(self._records, RECORD_DTYPE)
+            has_position = (records["flags"] & _HAS_POSITION) != 0
+            arrays = self._arrays = {
+                "seq": np.array(self._seqs, dtype=np.int64),
+                "op": records["op"].astype(np.int8),
+                "kind": records["kind"].astype(np.int8),
+                "position": np.where(has_position, records["position"], NO_POSITION),
+                "size": records["size"].astype(np.int64),
+                "thread": records["thread_id"].astype(np.int64),
+            }
+        return arrays[name]
 
     @property
     def seqs(self) -> np.ndarray:
@@ -230,33 +260,25 @@ class RuntimeProfile:
     @property
     def read_fraction(self) -> float:
         """Share of events that are reads; 0.0 on an empty profile."""
-        if not self._events:
-            return 0.0
-        return self.count_kind(AccessKind.READ) / len(self._events)
+        return self.count_kind(AccessKind.READ) / len(self) if len(self) else 0.0
 
     @property
     def write_fraction(self) -> float:
-        if not self._events:
-            return 0.0
-        return self.count_kind(AccessKind.WRITE) / len(self._events)
+        return self.count_kind(AccessKind.WRITE) / len(self) if len(self) else 0.0
 
     @property
     def max_size(self) -> int:
         """Largest element count the structure reached."""
-        if not self._events:
-            return 0
-        return int(self.sizes.max())
+        return int(self.sizes.max(initial=0))
 
     @property
     def final_size(self) -> int:
-        return int(self.sizes[-1]) if self._events else 0
+        return int(self.sizes[-1]) if len(self) else 0
 
     @property
     def thread_ids(self) -> list[int]:
         """Distinct thread ids observed, ascending."""
-        if not self._events:
-            return []
-        return [int(t) for t in np.unique(self.threads)]
+        return np.unique(self.threads).tolist()
 
     @property
     def is_multithreaded(self) -> bool:
@@ -267,33 +289,64 @@ class RuntimeProfile:
 
         Pattern detection treats interleaved threads separately (§IV
         captures thread ids precisely to recover successive accesses of
-        each thread).
+        each thread).  Threads appear in order of their first event.
         """
+        threads = self.threads
+        tids, first = np.unique(threads, return_index=True)
+        records = np.frombuffer(self._records, RECORD_DTYPE)
         out: dict[int, RuntimeProfile] = {}
-        for ev in self._events:
-            sub = out.get(ev.thread_id)
-            if sub is None:
-                sub = RuntimeProfile(
-                    self.instance_id,
-                    kind=self.kind,
-                    site=self.site,
-                    label=f"{self.label}[t{ev.thread_id}]" if self.label else "",
-                )
-                out[ev.thread_id] = sub
-            sub.append(ev)
+        for tid in tids[np.argsort(first)].tolist():
+            mask = threads == tid
+            label = f"{self.label}[t{tid}]" if self.label else ""
+            sub = out[tid] = RuntimeProfile(self.instance_id, self.kind, self.site, label)
+            sub.add_records(records[mask], self.seqs[mask])
         return out
 
     def slice(self, start: int, stop: int) -> "RuntimeProfile":
         """Sub-profile covering events ``start:stop`` (by index)."""
-        sub = RuntimeProfile(
-            self.instance_id, kind=self.kind, site=self.site, label=self.label
+        start, stop, _ = slice(start, stop).indices(len(self))
+        stop = max(start, stop)
+        sub = RuntimeProfile(self.instance_id, self.kind, self.site, self.label)
+        sub.add_records(
+            self._records[start * RECORD_SIZE : stop * RECORD_SIZE],
+            self._seqs[start:stop],
         )
-        sub.extend(self._events[start:stop])
         return sub
 
     def op_histogram(self) -> dict[OperationKind, int]:
         """Event count per compound operation kind (zero entries omitted)."""
-        if not self._events:
-            return {}
         values, counts = np.unique(self.ops, return_counts=True)
         return {OperationKind(int(v)): int(c) for v, c in zip(values, counts)}
+
+
+def route_records(data, profiles: dict[int, RuntimeProfile], first_seq: int = 0) -> None:
+    """Append the packed records of ``data`` to their instances' profiles.
+
+    Record ``i`` gets the logical timestamp ``first_seq + i``.  A stable
+    sort on the instance id groups the records, so each profile gets its
+    own in data order and no per-event object is built.  Records of
+    instances missing from ``profiles`` are dropped.
+    """
+    records = np.frombuffer(data, RECORD_DTYPE, len(data) // RECORD_SIZE)
+    if not len(records):
+        return
+    order = np.argsort(records["instance_id"], kind="stable")
+    grouped, seqs = records[order], order + first_seq
+    ids = grouped["instance_id"]
+    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(ids)]):
+        profile = profiles.get(int(ids[lo]))
+        if profile is not None:
+            profile.add_records(grouped[lo:hi], seqs[lo:hi])
+
+
+def read_spill_profiles(path: str | Path) -> list[RuntimeProfile]:
+    """One profile per instance of a spill file, by instance id, with
+    timestamps stamped in file order as :meth:`EventCollector.finish`
+    stamps an in-memory capture.  Spill files carry no registrations,
+    so every profile has the default structure kind (list)."""
+    data = b"".join(iter_spill_records(path))
+    ids = np.unique(np.frombuffer(data, RECORD_DTYPE)["instance_id"])
+    profiles = {iid: RuntimeProfile(iid) for iid in ids.tolist()}
+    route_records(data, profiles)
+    return list(profiles.values())

@@ -22,12 +22,11 @@ Layout::
               flags        uint8   (bit 0: has position, bit 1: has wall time)
               wall_time    float64 (valid only when flags bit 1 is set)
 
-Readers come in two flavors: :func:`iter_spill_raw` rehydrates raw
-event tuples, and :func:`iter_spill_events` goes straight to
-:class:`~repro.events.event.AccessEvent` objects with logical
-timestamps stamped in file order, ready for the detector and use-case
-engine.  Both stream — a capture larger than RAM can still be analyzed
-profile-by-profile.
+:func:`iter_spill_records` streams the file's plausible records as
+packed blocks; :func:`read_spill_raw` rehydrates them into raw event
+tuples, and :func:`~repro.events.profile.read_spill_profiles` routes
+them into profiles with logical timestamps stamped in file order, ready
+for the detector and use-case engine.
 """
 
 from __future__ import annotations
@@ -37,13 +36,25 @@ import warnings
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .event import AccessEvent, RawEvent, materialize
+import numpy as np
+
+from .event import RawEvent
 from .types import AccessKind, OperationKind
 
 MAGIC = b"DSPYSP01"
 
 _RECORD = struct.Struct("<qqqiBBBd")
 RECORD_SIZE = _RECORD.size
+
+#: The record layout as a numpy structured dtype, to read whole blocks.
+RECORD_DTYPE = np.dtype(
+    [("instance_id", "<i8"), ("position", "<i8"), ("size", "<i8"), ("thread_id", "<i4"),
+     ("op", "u1"), ("kind", "u1"), ("flags", "u1"), ("wall_time", "<f8")]
+)
+
+#: The fields the analysis folds read, skipping the instance id and the
+#: wall time: ``(position, size, thread_id, op, kind, flags)``.
+ANALYSIS_FIELDS = struct.Struct("<8xqqiBBB8x")
 
 _HAS_POSITION = 1
 _HAS_WALL = 2
@@ -75,16 +86,8 @@ def pack_record(raw: RawEvent) -> bytes:
 
 def unpack_record(chunk: bytes) -> RawEvent:
     """Inverse of :func:`pack_record` (exactly ``RECORD_SIZE`` bytes)."""
-    instance_id, position, size, thread_id, op, kind, flags, wall = _RECORD.unpack(chunk)
-    return (
-        instance_id,
-        op,
-        kind,
-        position if flags & _HAS_POSITION else None,
-        size,
-        thread_id,
-        wall if flags & _HAS_WALL else None,
-    )
+    (raw,) = unpack_records(chunk)
+    return raw
 
 
 def pack_records(raws: Iterable[RawEvent]) -> bytes:
@@ -158,9 +161,6 @@ class SpillWriter:
     def closed(self) -> bool:
         return self._fh is None
 
-    def write(self, raw: RawEvent) -> None:
-        self.write_batch((raw,))
-
     def write_batch(self, batch: Iterable[RawEvent]) -> None:
         self.write_packed(pack_records(batch))
 
@@ -193,10 +193,10 @@ class SpillWriter:
         self.close()
 
 
-def iter_spill_raw(
+def iter_spill_records(
     path: str | Path, on_skip: "Callable[[int], None] | None" = None
-) -> Iterator[RawEvent]:
-    """Stream raw event tuples back from a spill file, in file order.
+) -> Iterator[bytes]:
+    """Stream the records of a spill file as packed blocks, in file order.
 
     A bad magic header still raises (the file is not a spill file at
     all), and a truncated tail still ends the stream silently, but a
@@ -222,12 +222,11 @@ def iter_spill_raw(
             if not chunk:
                 break
             complete = len(chunk) - len(chunk) % RECORD_SIZE
-            for offset in range(0, complete, RECORD_SIZE):
-                record = chunk[offset:offset + RECORD_SIZE]
-                if record_is_plausible(record):
-                    yield unpack_record(record)
-                else:
-                    skipped += 1
+            records = [chunk[i : i + RECORD_SIZE] for i in range(0, complete, RECORD_SIZE)]
+            plausible = [r for r in records if record_is_plausible(r)]
+            skipped += len(records) - len(plausible)
+            if plausible:
+                yield b"".join(plausible)
             if complete != len(chunk):
                 # Append-only file truncated mid-record (e.g. a killed
                 # capture); everything before the tear is still valid.
@@ -243,16 +242,6 @@ def iter_spill_raw(
 
 
 def read_spill_raw(path: str | Path) -> list[RawEvent]:
-    return list(iter_spill_raw(path))
+    """Raw event tuples of a spill file, as :func:`iter_spill_records` reads it."""
+    return [raw for block in iter_spill_records(path) for raw in unpack_records(block)]
 
-
-def iter_spill_events(path: str | Path, start_seq: int = 0) -> Iterator[AccessEvent]:
-    """Stream rehydrated :class:`AccessEvent`\\ s with sequential logical
-    timestamps, exactly as :meth:`EventCollector.finish` would stamp
-    them for an in-memory capture of the same stream."""
-    for seq, raw in enumerate(iter_spill_raw(path), start=start_seq):
-        yield materialize(seq, raw)
-
-
-def read_spill_events(path: str | Path) -> list[AccessEvent]:
-    return list(iter_spill_events(path))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..events.profile import RuntimeProfile
+from ..events.spill import _HAS_POSITION, ANALYSIS_FIELDS
 from ..events.types import OperationKind
 
 #: Operation categories that can form positional runs.
@@ -189,6 +190,7 @@ def segment(profile: RuntimeProfile, max_gap: int = 1) -> list[Run]:
     """
     segmenter = Segmenter(max_gap)
     feed = segmenter.feed
-    for index, event in enumerate(profile.events):
-        feed(index, event.op, event.position, event.size, event.thread_id)
+    fields = ANALYSIS_FIELDS.iter_unpack(profile.records)
+    for index, (position, size, tid, op, _kind, flags) in enumerate(fields):
+        feed(index, op, position if flags & _HAS_POSITION else None, size, tid)
     return segmenter.runs()

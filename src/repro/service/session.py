@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 from ..events.event import RawEvent
 from ..events.profile import site_to_dict
-from ..events.spill import SpillWriter, iter_spill_raw
+from ..events.spill import SpillWriter, iter_spill_records, unpack_records
 from ..testing.clock import SYSTEM_CLOCK, Clock
 from .protocol import ProtocolError
 from .streaming import StreamingUseCaseEngine
@@ -232,14 +232,8 @@ class IngestPipeline:
             # visible to operators, not just a RuntimeWarning.
             self.spill_corrupt_skipped += n
 
-        window: list[RawEvent] = []
-        for raw in iter_spill_raw(path, on_skip=count_skips):
-            window.append(raw)
-            if len(window) >= 4096:
-                self._fold(window)
-                self._folded += len(window)
-                window = []
-        if window:
+        for block in iter_spill_records(path, on_skip=count_skips):
+            window = unpack_records(block)
             self._fold(window)
             self._folded += len(window)
         os.unlink(path)

@@ -35,8 +35,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..events.event import RawEvent, materialize
-from ..events.profile import RuntimeProfile
+from ..events.profile import RuntimeProfile, route_records
+from ..events.spill import pack_records
 from ..service.client import ServiceClient
 from ..service.daemon import ProfilingDaemon
 from ..service.protocol import ProtocolError
@@ -57,15 +57,12 @@ FAULT_SEED_SALT = 0x5EED_FA17
 
 def run_batch_path(trace: Trace) -> dict[str, Any]:
     """Reference semantics: per-instance profiles, batch engine."""
-    streams: dict[int, list] = {inst.instance_id: [] for inst in trace.instances}
-    for seq, raw in enumerate(trace.events):
-        streams[raw[0]].append(materialize(seq, raw))
-    profiles = []
-    for inst in trace.instances:
-        profile = RuntimeProfile(inst.instance_id, kind=inst.kind, label=inst.label)
-        profile.extend(streams[inst.instance_id])
-        profiles.append(profile)
-    return report_to_dict(UseCaseEngine().analyze(profiles))
+    profiles = {
+        inst.instance_id: RuntimeProfile(inst.instance_id, kind=inst.kind, label=inst.label)
+        for inst in trace.instances
+    }
+    route_records(pack_records(trace.events), profiles)
+    return report_to_dict(UseCaseEngine().analyze(list(profiles.values())))
 
 
 def run_streaming_path(trace: Trace, window: int = 64) -> dict[str, Any]:

@@ -217,7 +217,7 @@ class UseCaseEngine:
             else:
                 prefix = policy.exact_prefix(profile.instance_id)
                 use_cases.extend(
-                    sampled_engine.analyze_profile(_drop_prefix(profile, prefix))
+                    sampled_engine.analyze_profile(profile.slice(prefix, len(profile)))
                 )
         return UseCaseReport(
             use_cases=tuple(use_cases), instances_analyzed=len(profiles)
@@ -253,18 +253,3 @@ class UseCaseEngine:
             rules=rules,
         )
 
-
-def _drop_prefix(profile: RuntimeProfile, prefix: int) -> RuntimeProfile:
-    """A copy of ``profile`` without its first ``prefix`` events (the
-    full-rate burst head); the original when there is nothing to drop."""
-    if prefix <= 0:
-        return profile
-    tail = RuntimeProfile(
-        profile.instance_id,
-        kind=profile.kind,
-        site=profile.site,
-        label=profile.label,
-    )
-    for event in profile.events[prefix:]:
-        tail.append(event)
-    return tail

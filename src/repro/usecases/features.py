@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..events.profile import AllocationSite, site_from_dict, site_to_dict
+from ..events.spill import _HAS_POSITION, ANALYSIS_FIELDS
 from ..events.types import AccessKind, OperationKind, StructureKind
 from ..patterns.detector import DetectorConfig, patterns_of
 from ..patterns.model import AccessPattern
@@ -281,11 +282,15 @@ class ProfileFold:
 
     @classmethod
     def of_profile(cls, profile: "RuntimeProfile", max_gap: int = 1) -> "ProfileFold":
-        """The fold over a finished profile's whole event history."""
+        """The fold over a finished profile's whole event history, read
+        straight from its packed records."""
         fold = cls(profile.instance_id, profile.kind, profile.site, profile.label, max_gap)
         feed = fold.feed
-        for event in profile.events:
-            feed(event.op, event.kind, event.position, event.size, event.thread_id)
+        has_position = _HAS_POSITION
+        for position, size, tid, op, kind, flags in ANALYSIS_FIELDS.iter_unpack(
+            profile.records
+        ):
+            feed(op, kind, position if flags & has_position else None, size, tid)
         return fold
 
     def feed(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from ..events.profile import site_to_dict
 from .engine import UseCaseReport
 from .model import UseCase
 
@@ -18,7 +19,6 @@ SCHEMA_VERSION = 1
 
 
 def use_case_to_dict(use_case: UseCase) -> dict[str, Any]:
-    site = use_case.site
     return {
         "kind": use_case.kind.label,
         "abbreviation": use_case.kind.abbreviation,
@@ -26,14 +26,7 @@ def use_case_to_dict(use_case: UseCase) -> dict[str, Any]:
         "instance_id": use_case.instance_id,
         "structure": use_case.profile.kind.value,
         "label": use_case.profile.label,
-        "site": None
-        if site is None
-        else {
-            "filename": site.filename,
-            "lineno": site.lineno,
-            "function": site.function,
-            "variable": site.variable,
-        },
+        "site": site_to_dict(use_case.site),
         "recommendation": {
             "action": use_case.recommendation.action,
             "rationale": use_case.recommendation.rationale,

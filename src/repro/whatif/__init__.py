@@ -21,7 +21,7 @@ from .predict import (
     rank_report,
     transform_ways,
     workspans_from_engine,
-    workspans_from_profiles,
+    workspans_of_flagged,
 )
 from .report import format_whatif_table
 
@@ -39,5 +39,5 @@ __all__ = [
     "rank_report",
     "transform_ways",
     "workspans_from_engine",
-    "workspans_from_profiles",
+    "workspans_of_flagged",
 ]

@@ -122,11 +122,13 @@ def predict_use_case(
     )
 
 
-def workspans_from_profiles(
-    profiles: Iterable[RuntimeProfile],
+def workspans_of_flagged(
+    report: UseCaseReport, profiles: Iterable[RuntimeProfile]
 ) -> dict[int, WorkSpan]:
-    """Per-instance work/span folded from batch profiles."""
-    return {p.instance_id: fold_profile(p) for p in profiles}
+    """Work/span of the instances ``report`` names, each folded from its
+    full batch profile (predictions exist only for flagged instances)."""
+    flagged = {u.instance_id for u in report.use_cases}
+    return {p.instance_id: fold_profile(p) for p in profiles if p.instance_id in flagged}
 
 
 def workspans_from_engine(engine) -> dict[int, WorkSpan]:
@@ -187,5 +189,5 @@ __all__ = [
     "rank_report",
     "transform_ways",
     "workspans_from_engine",
-    "workspans_from_profiles",
+    "workspans_of_flagged",
 ]

@@ -23,9 +23,9 @@ from repro.events import (
     SpillWriter,
     StructureKind,
     collecting,
-    iter_spill_events,
     make_recorder,
     parse_sampling,
+    read_spill_profiles,
     read_spill_raw,
     unpack_records,
 )
@@ -162,7 +162,8 @@ class TestSpill:
         path = tmp_path / "x.spill"
         with SpillWriter(path) as writer:
             writer.write_batch([raw(3, i) for i in range(10)])
-        events = list(iter_spill_events(path))
+        (profile,) = read_spill_profiles(path)
+        events = list(profile)
         assert [e.position for e in events] == list(range(10))
         assert [e.seq for e in events] == list(range(10))
         assert events[0].op is OperationKind.READ

@@ -19,7 +19,7 @@ from repro.events import (
     end_of,
     get_collector,
     make_recorder,
-    materialize,
+    pack_record,
     unpack_records,
 )
 
@@ -83,7 +83,9 @@ class TestAccessEvent:
 
     def test_materialize_roundtrip(self):
         raw = (5, int(OperationKind.SORT), int(AccessKind.WRITE), None, 12, 2, None)
-        ev = materialize(99, raw)
+        profile = RuntimeProfile(5)
+        profile.add_records(pack_record(raw), [99])
+        (ev,) = profile.events
         assert ev.seq == 99
         assert ev.op is OperationKind.SORT
         assert ev.kind is AccessKind.WRITE

@@ -229,7 +229,7 @@ class TestSpillCorruptionSkipping:
         assert back == [raw for i, raw in enumerate(raws) if i not in (2, 9, 15)]
 
     def test_corruption_straddling_read_chunk_boundary(self, tmp_path):
-        # iter_spill_raw reads in 4096-record chunks; records 4095 and
+        # iter_spill_records reads in 4096-record chunks; records 4095 and
         # 4096 sit on either side of the first boundary and must both
         # be screened, not conflated with a truncated tail.
         path = tmp_path / "events.spill"

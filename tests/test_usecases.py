@@ -363,12 +363,12 @@ class TestRankedReports:
 
     def _ranked(self, profiles, cores=8):
         from repro.parallel.machine import MachineConfig, SimulatedMachine
-        from repro.whatif import annotate_report, rank_report, workspans_from_profiles
+        from repro.whatif import annotate_report, rank_report, workspans_of_flagged
 
         machine = SimulatedMachine(MachineConfig(cores=cores))
         report = UseCaseEngine().analyze(profiles)
         return rank_report(
-            annotate_report(report, machine, workspans_from_profiles(profiles))
+            annotate_report(report, machine, workspans_of_flagged(report, profiles))
         )
 
     def test_report_orders_by_predicted_speedup(self):

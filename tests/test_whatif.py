@@ -227,3 +227,43 @@ class TestMeasuredVsPredicted:
         assert edge.within_band
         assert not past.within_band
         assert not mismatch.within_band
+
+
+class TestFlaggedWorkspans:
+    """Predictions read only the work/span of flagged instances, so
+    folding just those (from their full profiles) ranks exactly as
+    folding every profile did, sampled captures included."""
+
+    @pytest.mark.parametrize("sampling", [None, "burst:200/10"])
+    def test_ranked_table_matches_folding_every_profile(self, sampling):
+        from repro.events import collecting, parse_sampling
+        from repro.usecases import UseCaseEngine
+        from repro.whatif import (
+            annotate_report,
+            fold_profile,
+            format_whatif_table,
+            rank_report,
+            workspans_of_flagged,
+        )
+        from repro.workloads import EVALUATION_WORKLOADS
+
+        machine = SimulatedMachine(MachineConfig(cores=8))
+        flagged_total = 0
+        for workload in EVALUATION_WORKLOADS:
+            policy = None if sampling is None else parse_sampling(sampling)
+            with collecting(sampling=policy) as collector:
+                workload.run_tracked(scale=0.1)
+            report = UseCaseEngine().analyze_collector(collector)
+            profiles = collector.profiles()
+            every = {p.instance_id: fold_profile(p) for p in profiles}
+            flagged = workspans_of_flagged(report, profiles)
+            assert set(flagged) == {u.instance_id for u in report.use_cases}
+            flagged_total += len(flagged)
+            tables = [
+                format_whatif_table(
+                    rank_report(annotate_report(report, machine, spans)), machine, spans
+                )
+                for spans in (every, flagged)
+            ]
+            assert tables[0] == tables[1]
+        assert flagged_total > 7
